@@ -62,10 +62,14 @@ pub struct JerkSample {
 /// }
 /// assert!(!hint_at_5s); // static again by t = 5 s
 /// ```
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct MovementDetector {
-    /// Ring buffer of the last `2 × AVG_WINDOW` reports' force vectors.
-    window: Vec<[f64; 3]>,
+    /// Mirrored ring of the last [`WINDOW`] reports' force vectors: each
+    /// report is written at slot `i` and `i + WINDOW`, so
+    /// `ring[head..head + WINDOW]` is always the window, oldest first.
+    ring: [[f64; 3]; 2 * WINDOW],
+    /// Slot of the oldest report once the window is full.
+    head: usize,
     /// Current hint value `H_t`.
     moving: bool,
     /// Reports elapsed since a jerk value last exceeded the threshold.
@@ -74,11 +78,21 @@ pub struct MovementDetector {
     count: u64,
 }
 
+/// Reports in the jerk window: an older and a recent averaging half.
+const WINDOW: usize = 2 * AVG_WINDOW;
+
+impl Default for MovementDetector {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl MovementDetector {
     /// Fresh detector with `H_0 = 0`.
     pub fn new() -> Self {
         MovementDetector {
-            window: Vec::with_capacity(2 * AVG_WINDOW),
+            ring: [[0.0; 3]; 2 * WINDOW],
+            head: 0,
             moving: false,
             reports_since_jerk: HYSTERESIS_REPORTS + 1,
             count: 0,
@@ -99,25 +113,33 @@ impl MovementDetector {
     /// Feed one force report; returns the jerk and updated hint.
     pub fn push(&mut self, report: &ForceReport) -> JerkSample {
         self.count += 1;
-        if self.window.len() == 2 * AVG_WINDOW {
-            self.window.remove(0);
-        }
-        self.window.push([report.x, report.y, report.z]);
+        let slot = if self.count <= WINDOW as u64 {
+            (self.count - 1) as usize
+        } else {
+            let oldest = self.head;
+            self.head = (self.head + 1) % WINDOW;
+            oldest
+        };
+        let v = [report.x, report.y, report.z];
+        self.ring[slot] = v;
+        self.ring[slot + WINDOW] = v;
 
-        let jerk = if self.window.len() == 2 * AVG_WINDOW {
-            // Older half: indices 0..5; recent half: indices 5..10.
-            let avg = |range: std::ops::Range<usize>| {
+        let jerk = if self.count >= WINDOW as u64 {
+            // Older half: indices 0..5; recent half: indices 5..10 —
+            // summed in index order, as a shifting buffer would be.
+            let window = &self.ring[self.head..self.head + WINDOW];
+            let avg = |half: &[[f64; 3]]| {
                 let mut s = [0.0f64; 3];
-                for i in range.clone() {
-                    for (a, acc) in s.iter_mut().enumerate() {
-                        *acc += self.window[i][a];
+                for f in half {
+                    for (acc, x) in s.iter_mut().zip(f) {
+                        *acc += x;
                     }
                 }
-                let n = range.len() as f64;
+                let n = half.len() as f64;
                 [s[0] / n, s[1] / n, s[2] / n]
             };
-            let old = avg(0..AVG_WINDOW);
-            let new = avg(AVG_WINDOW..2 * AVG_WINDOW);
+            let old = avg(&window[..AVG_WINDOW]);
+            let new = avg(&window[AVG_WINDOW..]);
             (new[0] - old[0]).powi(2) + (new[1] - old[1]).powi(2) + (new[2] - old[2]).powi(2)
         } else {
             0.0
@@ -300,6 +322,89 @@ mod tests {
             held,
             total
         );
+    }
+
+    /// The shifting-`Vec` detector the ring buffer replaced, kept as the
+    /// reference the ring must match bit for bit.
+    struct VecDetector {
+        window: Vec<[f64; 3]>,
+        moving: bool,
+        reports_since_jerk: usize,
+    }
+
+    impl VecDetector {
+        fn new() -> Self {
+            VecDetector {
+                window: Vec::with_capacity(2 * AVG_WINDOW),
+                moving: false,
+                reports_since_jerk: HYSTERESIS_REPORTS + 1,
+            }
+        }
+
+        fn push(&mut self, report: &ForceReport) -> (f64, bool) {
+            if self.window.len() == 2 * AVG_WINDOW {
+                self.window.remove(0);
+            }
+            self.window.push([report.x, report.y, report.z]);
+            let jerk = if self.window.len() == 2 * AVG_WINDOW {
+                let avg = |range: std::ops::Range<usize>| {
+                    let mut s = [0.0f64; 3];
+                    for i in range.clone() {
+                        for (a, acc) in s.iter_mut().enumerate() {
+                            *acc += self.window[i][a];
+                        }
+                    }
+                    let n = range.len() as f64;
+                    [s[0] / n, s[1] / n, s[2] / n]
+                };
+                let old = avg(0..AVG_WINDOW);
+                let new = avg(AVG_WINDOW..2 * AVG_WINDOW);
+                (new[0] - old[0]).powi(2) + (new[1] - old[1]).powi(2) + (new[2] - old[2]).powi(2)
+            } else {
+                0.0
+            };
+            if jerk > JERK_THRESHOLD {
+                self.reports_since_jerk = 0;
+            } else {
+                self.reports_since_jerk = self.reports_since_jerk.saturating_add(1);
+            }
+            self.moving = if self.moving {
+                self.reports_since_jerk <= HYSTERESIS_REPORTS
+            } else {
+                jerk > JERK_THRESHOLD
+            };
+            (jerk, self.moving)
+        }
+    }
+
+    #[test]
+    fn ring_buffer_matches_shifting_vec_bit_for_bit() {
+        let secs = SimDuration::from_secs;
+        let profiles = [
+            MotionProfile::stationary(secs(4)),
+            MotionProfile::walking(secs(4), 1.4, 30.0),
+            MotionProfile::vehicle(secs(4), 12.0, 90.0),
+            MotionProfile::alternating(secs(1), 3),
+        ];
+        for (p, profile) in profiles.iter().enumerate() {
+            for seed in 0..16u64 {
+                let rng = RngStream::new(seed).derive_idx("ring", p as u64);
+                let mut accel = Accelerometer::new(profile.clone(), rng);
+                let (mut ring, mut reference) = (MovementDetector::new(), VecDetector::new());
+                for _ in 0..2000 {
+                    let r = accel.next_report();
+                    let s = ring.push(&r);
+                    let (jerk, moving) = reference.push(&r);
+                    assert_eq!(s.jerk.to_bits(), jerk.to_bits(), "profile {p} seed {seed}");
+                    assert_eq!(s.moving, moving, "profile {p} seed {seed}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn default_is_a_fresh_detector() {
+        assert_eq!(MovementDetector::default(), MovementDetector::new());
     }
 
     #[test]
