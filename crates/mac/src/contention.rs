@@ -247,6 +247,7 @@ impl AirtimeArbiter {
         let mut t = SimDuration::ZERO;
         let mut active: Vec<usize> = Vec::with_capacity(n);
         let mut backoffs: Vec<u64> = Vec::with_capacity(n);
+        let mut winners: Vec<usize> = Vec::with_capacity(n);
         while t < epoch {
             active.clear();
             for (i, s) in stations.iter().enumerate() {
@@ -287,13 +288,15 @@ impl AirtimeArbiter {
 
             // Stations whose active window closed during the DIFS+backoff
             // countdown leave without transmitting (and cannot collide).
-            let winners: Vec<usize> = active
-                .iter()
-                .zip(backoffs.iter())
-                .filter(|(_, &b)| b == min_backoff)
-                .map(|(&i, _)| i)
-                .filter(|&i| t < stations[i].active_to.min(epoch))
-                .collect();
+            winners.clear();
+            winners.extend(
+                active
+                    .iter()
+                    .zip(backoffs.iter())
+                    .filter(|(_, &b)| b == min_backoff)
+                    .map(|(&i, _)| i)
+                    .filter(|&i| t < stations[i].active_to.min(epoch)),
+            );
             if winners.is_empty() {
                 // Every winner's window closed mid-countdown.
                 continue;
