@@ -12,6 +12,10 @@
 //!   latency and any transient errors; or
 //! * **oracle** ([`HintStream::oracle`]): ground truth delayed by a fixed
 //!   latency, for ablations isolating the effect of detector quality.
+//!
+//! A stream covers a whole run; [`HintStream::window`] cuts the slice one
+//! association span sees, so every consumer of a client's hints reads the
+//! same detector.
 
 use hint_sensors::accelerometer::{Accelerometer, ACCEL_REPORT_PERIOD};
 use hint_sensors::jerk::MovementDetector;
@@ -23,6 +27,9 @@ use hint_sim::{RngStream, SimDuration, SimTime};
 pub struct HintStream {
     samples: Vec<bool>,
     period: SimDuration,
+    /// How far time zero sits past the first sample's grid point: zero
+    /// for a full stream, `from mod period` for a window cut at `from`.
+    offset: SimDuration,
 }
 
 impl HintStream {
@@ -41,6 +48,7 @@ impl HintStream {
         HintStream {
             samples,
             period: ACCEL_REPORT_PERIOD,
+            offset: SimDuration::ZERO,
         }
     }
 
@@ -55,17 +63,44 @@ impl HintStream {
             let query = SimTime::ZERO + shifted;
             samples.push(profile.is_moving_at(query));
         }
-        HintStream { samples, period }
+        HintStream {
+            samples,
+            period,
+            offset: SimDuration::ZERO,
+        }
+    }
+
+    /// The `len`-long stretch of this stream starting at `from`, re-based
+    /// so `from` becomes time zero: for every `t <= len`,
+    /// `window(from, len).query(t) == query(from + t)`, whether or not
+    /// `from` falls on the sample grid. Later queries clamp to the value
+    /// at `from + len`. Copies the covered samples; never re-runs the
+    /// detector.
+    pub fn window(&self, from: SimTime, len: SimDuration) -> HintStream {
+        if self.samples.is_empty() {
+            return self.clone();
+        }
+        let (lo, hi) = (self.index(from), self.index(from + len));
+        let grid = lo as u64 * self.period.as_micros();
+        HintStream {
+            samples: self.samples[lo..=hi].to_vec(),
+            period: self.period,
+            offset: SimDuration::from_micros(from.as_micros() + self.offset.as_micros() - grid),
+        }
     }
 
     /// The hint value at time `t` (clamped to the series bounds).
     #[inline]
     pub fn query(&self, t: SimTime) -> bool {
-        if self.samples.is_empty() {
-            return false;
-        }
-        let idx = (t.as_micros() / self.period.as_micros()) as usize;
-        self.samples[idx.min(self.samples.len() - 1)]
+        !self.samples.is_empty() && self.samples[self.index(t)]
+    }
+
+    /// Index of the sample in force at `t`, clamped to the last sample
+    /// (the stream must be non-empty).
+    #[inline]
+    fn index(&self, t: SimTime) -> usize {
+        let idx = (t.as_micros() + self.offset.as_micros()) / self.period.as_micros();
+        (idx as usize).min(self.samples.len() - 1)
     }
 
     /// Number of 2 ms samples.
@@ -96,7 +131,10 @@ impl HintStream {
             .iter()
             .enumerate()
             .filter(|(i, &m)| {
-                let t = SimTime::from_micros(*i as u64 * self.period.as_micros());
+                // Sample i holds from its grid point (time zero for a
+                // window's first sample) on.
+                let grid = *i as u64 * self.period.as_micros();
+                let t = SimTime::from_micros(grid.saturating_sub(self.offset.as_micros()));
                 m == profile.is_moving_at(t)
             })
             .count();
@@ -138,6 +176,94 @@ mod tests {
         let acc = h.accuracy_vs(&p);
         assert!(acc > 0.95, "sensor hint accuracy {acc:.3}");
         assert!((h.moving_fraction() - 0.5).abs() < 0.05);
+    }
+
+    /// A 10 s sensor stream with several hint edges.
+    fn mixed_stream() -> HintStream {
+        let p = MotionProfile::alternating(SimDuration::from_millis(700), 7);
+        HintStream::from_sensors(&p, SimDuration::from_secs(10), 11)
+    }
+
+    /// `window(from, len).query(t) == full.query(from + t)` for every
+    /// microsecond-step `t` in `[0, len]`.
+    fn assert_window_matches(full: &HintStream, from_us: u64, len_us: u64) {
+        let from = SimTime::from_micros(from_us);
+        let w = full.window(from, SimDuration::from_micros(len_us));
+        for t in (0..=len_us).step_by(97).chain([len_us]) {
+            assert_eq!(
+                w.query(SimTime::from_micros(t)),
+                full.query(from + SimDuration::from_micros(t)),
+                "window ({from_us}, {len_us}) at t = {t} us"
+            );
+        }
+    }
+
+    #[test]
+    fn window_matches_full_stream_at_unaligned_starts() {
+        let full = mixed_stream();
+        assert!(full.moving_fraction() > 0.2 && full.moving_fraction() < 0.8);
+        for from_us in [0, 1, 1_999, 2_000, 2_001, 1_234_567, 4_999_999] {
+            assert_window_matches(&full, from_us, 3_000_000);
+        }
+    }
+
+    #[test]
+    fn zero_length_window_holds_the_value_at_from() {
+        let full = mixed_stream();
+        for from_us in [0, 777, 700_001, 9_999_999] {
+            let from = SimTime::from_micros(from_us);
+            let w = full.window(from, SimDuration::ZERO);
+            assert_eq!(w.len(), 1);
+            assert_eq!(w.query(SimTime::ZERO), full.query(from));
+            assert_eq!(w.query(SimTime::from_secs(1)), full.query(from));
+        }
+    }
+
+    #[test]
+    fn window_ending_at_or_past_the_run_end_clamps_like_the_full_stream() {
+        let full = mixed_stream();
+        // Ends exactly at the run end, and starts past it.
+        assert_window_matches(&full, 7_000_001, 3_000_000 - 1);
+        assert_window_matches(&full, 7_000_001, 3_000_000);
+        assert_window_matches(&full, 12_345_678, 1_000_000);
+        let last = full.query(SimTime::from_secs(10));
+        let past = full.window(SimTime::from_secs(11), SimDuration::from_secs(1));
+        assert_eq!(past.len(), 1);
+        assert_eq!(past.query(SimTime::ZERO), last);
+    }
+
+    #[test]
+    fn queries_past_a_window_clamp_to_its_last_value() {
+        let full = mixed_stream();
+        let from = SimTime::from_micros(1_000_333);
+        let len = SimDuration::from_micros(2_500_001);
+        let w = full.window(from, len);
+        let at_end = full.query(from + len);
+        for extra_ms in [1, 2, 3, 50, 5_000] {
+            let t = SimTime::ZERO + len + SimDuration::from_millis(extra_ms);
+            assert_eq!(w.query(t), at_end, "{extra_ms} ms past the window");
+        }
+    }
+
+    #[test]
+    fn window_of_a_window_is_the_window_of_the_whole() {
+        let full = mixed_stream();
+        let outer = full.window(SimTime::from_micros(1_111_111), SimDuration::from_secs(6));
+        let inner = outer.window(SimTime::from_micros(2_222_223), SimDuration::from_secs(2));
+        let direct = full.window(SimTime::from_micros(3_333_334), SimDuration::from_secs(2));
+        for t in (0..=2_000_000).step_by(499) {
+            let t = SimTime::from_micros(t);
+            assert_eq!(inner.query(t), direct.query(t));
+        }
+    }
+
+    #[test]
+    fn windows_of_an_empty_stream_stay_empty() {
+        let p = MotionProfile::stationary(SimDuration::from_secs(1));
+        let empty = HintStream::oracle(&p, SimDuration::ZERO, SimDuration::ZERO);
+        let w = empty.window(SimTime::from_millis(5), SimDuration::from_secs(1));
+        assert!(w.is_empty());
+        assert!(!w.query(SimTime::ZERO));
     }
 
     #[test]
