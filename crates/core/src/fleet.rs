@@ -13,8 +13,9 @@
 //!   (`hint_topology::etx`). Switches are gated by
 //!   [`hint_ap::association::should_handoff`] hysteresis, so an
 //!   unchanged scan can never ping-pong.
-//! * **Hints** — each client runs the same hint pipeline as a
-//!   single-link scenario ([`HintStream`]); the hint gates the dwell
+//! * **Hints** — each client runs one hint pipeline for the whole run,
+//!   as a single-link scenario does ([`HintStream`]); every span's rate
+//!   adapter reads a window of that same stream. The hint gates the dwell
 //!   prediction (a client that believes it is static scores every
 //!   covering AP as an infinite dwell and stays put) and rides frames to
 //!   the AP, whose [`NeighborHints`] table decides how departures are
@@ -411,7 +412,8 @@ pub struct FleetScenario {
     /// compile time (span simulation never touches the filesystem).
     workloads: Vec<Workload>,
     /// Full-duration hint stream per client (`None` for hint-oblivious
-    /// fleets) — drives the association/handoff decisions.
+    /// fleets) — the one detector both the association/handoff decisions
+    /// and, windowed per span, the rate adapter read.
     hints: Vec<Option<HintStream>>,
     /// Per-client root seeds, derived from the fleet seed.
     client_seeds: Vec<u64>,
@@ -693,32 +695,15 @@ impl FleetScenario {
         self.run_with_jobs(1)
     }
 
-    /// Run the fleet with `jobs` worker threads sharding the span
-    /// traffic simulations (Phase B). The association event loop and the
-    /// medium arbitration stay serial — they are a tiny fraction of the
-    /// runtime — while every association span's [`LinkSimulator`] run is
-    /// a pure function of the spec seed and so shards freely. Span
-    /// results stream into per-client running sums whose merge is
-    /// commutative integer addition, which makes the outcome
-    /// **byte-identical for every `jobs` value**; `jobs == 1` (what
-    /// [`FleetScenario::run`] uses) takes a pool-free serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `jobs == 0`.
-    pub fn run_with_jobs(&self, jobs: usize) -> FleetOutcome {
-        assert!(jobs >= 1, "jobs must be >= 1");
+    /// Phase A: the association/handoff event loop. Returns every
+    /// client's closed spans, and per-AP stats with Phase A's fields set.
+    fn associate_clients(&self) -> (Vec<ClientRun>, Vec<FleetApStats>) {
         let n_clients = self.spec.clients.len();
         let n_aps = self.spec.aps.len();
-        let duration = self.spec.duration;
-        let end = SimTime::ZERO + duration;
+        let end = SimTime::ZERO + self.spec.duration;
         let reassoc = self.spec.handoff.reassociation_cost;
         let margin = self.spec.handoff.hysteresis;
         let client_hints_on = !matches!(self.spec.hints, HintSpec::None);
-
-        // ------------------------------------------------------------------
-        // Phase A: the association/handoff event loop.
-        // ------------------------------------------------------------------
         let mut runs: Vec<ClientRun> = (0..n_clients)
             .map(|_| ClientRun {
                 current: None,
@@ -739,10 +724,12 @@ impl FleetScenario {
         // ghost-airtime accounting.
         let mut ap_tables: Vec<NeighborHints<usize>> =
             (0..n_aps).map(|_| NeighborHints::new()).collect();
-        let mut ap_assoc_s = vec![0.0f64; n_aps];
-        let mut ap_handoffs_in = vec![0u32; n_aps];
-        let mut ap_wasted_s = vec![0.0f64; n_aps];
-        let mut ap_evictions = vec![0u32; n_aps];
+        let mut aps: Vec<FleetApStats> = (0..n_aps)
+            .map(|a| FleetApStats {
+                down_s: ResolvedFaults::total_s(&self.faults.ap_down[a]),
+                ..FleetApStats::default()
+            })
+            .collect();
         let probe_airtime_s = MacTiming::ieee80211a()
             .exchange_airtime(BitRate::R6, self.spec.payload_bytes)
             .as_secs_f64();
@@ -791,7 +778,7 @@ impl FleetScenario {
                         if now > run.span_start {
                             run.spans.push((run.span_start, now, a));
                         }
-                        ap_evictions[a] += 1;
+                        aps[a].evictions += 1;
                         run.pending_forced = true;
                         run.current = None;
                         // A client evicted mid-reassociation was already
@@ -812,7 +799,7 @@ impl FleetScenario {
                         if now > run.span_start {
                             run.spans.push((run.span_start, now, cur));
                         }
-                        ap_wasted_s[cur] +=
+                        aps[cur].wasted_airtime_s +=
                             ghost_airtime_s(&ap_tables[cur], c, now, end, probe_airtime_s);
                         run.pending_forced = true;
                         run.current = None;
@@ -900,7 +887,7 @@ impl FleetScenario {
                     // the prune timeout for a silent departure, or
                     // occasional probes if the AP heard a movement hint.
                     run.spans.push((run.span_start, now, cur));
-                    ap_wasted_s[cur] +=
+                    aps[cur].wasted_airtime_s +=
                         ghost_airtime_s(&ap_tables[cur], c, now, end, probe_airtime_s);
                     run.pending_forced = true;
                     run.current = None;
@@ -912,7 +899,7 @@ impl FleetScenario {
                         if should_handoff(None, best_score, margin)
                             && self.associate(run, best_id, now, reassoc, end)
                         {
-                            ap_handoffs_in[best_id] += 1;
+                            aps[best_id].handoffs_in += 1;
                         }
                     }
                 }
@@ -923,7 +910,7 @@ impl FleetScenario {
                     // works, the AP is told, no ghost window.
                     run.spans.push((run.span_start, now, cur));
                     if self.associate(run, best_id, now, reassoc, end) {
-                        ap_handoffs_in[best_id] += 1;
+                        aps[best_id].handoffs_in += 1;
                     }
                 }
                 (None, Some((best_id, best_score))) if should_handoff(None, best_score, margin) => {
@@ -931,7 +918,7 @@ impl FleetScenario {
                     // into the match guard.)
                     let recorded = self.associate(run, best_id, now, reassoc, end);
                     if recorded {
-                        ap_handoffs_in[best_id] += 1;
+                        aps[best_id].handoffs_in += 1;
                     }
                 }
                 _ => {}
@@ -978,6 +965,29 @@ impl FleetScenario {
                 }
             }
         }
+        (runs, aps)
+    }
+
+    /// Run the fleet with `jobs` worker threads sharding the span
+    /// traffic simulations (Phase B). The association event loop and the
+    /// medium arbitration stay serial — they are a tiny fraction of the
+    /// runtime — while every association span's [`LinkSimulator`] run is
+    /// a pure function of the spec seed and so shards freely. Span
+    /// results stream into per-client running sums whose merge is
+    /// commutative integer addition, which makes the outcome
+    /// **byte-identical for every `jobs` value**; `jobs == 1` (what
+    /// [`FleetScenario::run`] uses) takes a pool-free serial path.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `jobs == 0`.
+    pub fn run_with_jobs(&self, jobs: usize) -> FleetOutcome {
+        assert!(jobs >= 1, "jobs must be >= 1");
+        let n_clients = self.spec.clients.len();
+        let n_aps = self.spec.aps.len();
+        let duration = self.spec.duration;
+        let client_hints_on = !matches!(self.spec.hints, HintSpec::None);
+        let (runs, mut aps) = self.associate_clients();
 
         // ------------------------------------------------------------------
         // Phase A': shared-medium arbitration. With `contention: shared`,
@@ -992,9 +1002,6 @@ impl FleetScenario {
         // an ordered map keeps any future traversal deterministic by
         // construction — the byte-identical contract `detlint` enforces.
         let mut epoch_shares: BTreeMap<(usize, u64, usize), f64> = BTreeMap::new();
-        let mut ap_busy_s = vec![0.0f64; n_aps];
-        let mut ap_collision_s = vec![0.0f64; n_aps];
-        let mut ap_collisions = vec![0u32; n_aps];
         let epoch_us = self.spec.medium.epoch.as_micros();
         if self.contention == ContentionMode::Shared {
             let mut ap_spans: Vec<Vec<(usize, SimTime, SimTime)>> = vec![Vec::new(); n_aps];
@@ -1063,9 +1070,9 @@ impl FleetScenario {
                         &stations,
                         seed,
                     );
-                    ap_busy_s[a] += sched.busy().as_secs_f64();
-                    ap_collision_s[a] += sched.collision_airtime.as_secs_f64();
-                    ap_collisions[a] += sched.collisions;
+                    aps[a].contended_busy_s += sched.busy().as_secs_f64();
+                    aps[a].collision_s += sched.collision_airtime.as_secs_f64();
+                    aps[a].collisions += sched.collisions;
                     for (i, &c) in members.iter().enumerate() {
                         epoch_shares.insert((a, e, c), sched.share(i, &stations));
                     }
@@ -1085,7 +1092,7 @@ impl FleetScenario {
                 let span = to.saturating_since(from);
                 // Associated time counts in the AP stats whatever the
                 // span length; only the traffic simulation needs slots.
-                ap_assoc_s[ap_id] += span.as_secs_f64();
+                aps[ap_id].association_s += span.as_secs_f64();
                 // Sub-slot spans cannot carry a trace slot; skip them.
                 if span < hint_channel::SLOT_DURATION * 2 {
                     continue;
@@ -1195,18 +1202,7 @@ impl FleetScenario {
             jain_fairness: jain_index(&goodputs),
             aggregate_goodput_mbps: goodputs.iter().sum::<f64>() / 1e6,
             clients: client_outcomes,
-            aps: (0..n_aps)
-                .map(|a| FleetApStats {
-                    association_s: ap_assoc_s[a],
-                    handoffs_in: ap_handoffs_in[a],
-                    wasted_airtime_s: ap_wasted_s[a],
-                    contended_busy_s: ap_busy_s[a],
-                    collision_s: ap_collision_s[a],
-                    collisions: ap_collisions[a],
-                    down_s: ResolvedFaults::total_s(&self.faults.ap_down[a]),
-                    evictions: ap_evictions[a],
-                })
-                .collect(),
+            aps,
         }
     }
 
@@ -1248,8 +1244,10 @@ impl FleetScenario {
             .seed();
         let trace = Trace::generate(&span_env, &span_profile, span, span_seed);
         let mut sim = LinkSimulator::from_trace(trace).with_payload(self.spec.payload_bytes);
-        if let Some(stream) = self.span_hints(&span_profile, span, span_seed) {
-            sim = sim.with_owned_hints(stream);
+        // The phone's detector keeps running across reassociation: the
+        // adapter reads the client's one stream, re-based to the span.
+        if let Some(stream) = &self.hints[c] {
+            sim = sim.with_owned_hints(stream.window(from, span));
         }
         // The span's AP brings its wired backhaul (if the spec gave it
         // one): a Flow workload's connection state — window, RTT
@@ -1324,26 +1322,6 @@ impl FleetScenario {
         run.span_start = active;
         recorded
     }
-
-    /// The hint stream a single association span feeds its adapter
-    /// (regenerated over the span profile, like a detector restarting on
-    /// reassociation).
-    fn span_hints(
-        &self,
-        span_profile: &MotionProfile,
-        span: SimDuration,
-        span_seed: u64,
-    ) -> Option<HintStream> {
-        match &self.spec.hints {
-            HintSpec::None => None,
-            HintSpec::Oracle { latency } => Some(HintStream::oracle(span_profile, span, *latency)),
-            HintSpec::Sensors { .. } => Some(HintStream::from_sensors(
-                span_profile,
-                span,
-                span_seed ^ HINT_SEED_MASK,
-            )),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -1352,8 +1330,11 @@ mod tests {
     use hint_rateadapt::fleet::{
         ApOutage, FaultSpec, HintDropout, MediumSpec, RadioBlackout, RandomOutages,
     };
+    use hint_rateadapt::protocols::RateAdapter;
     use hint_rateadapt::scenario::MotionSpec;
     use hint_rateadapt::Workload;
+    use hint_sensors::motion::MotionState;
+    use std::sync::{Arc, Mutex};
 
     /// Two APs 120 m apart with 70 m coverage; two walkers crossing the
     /// floor east/west, one static client parked near AP 0.
@@ -1424,6 +1405,88 @@ mod tests {
                 "{policy}"
             );
         }
+    }
+
+    /// Records every movement hint the link simulator hands its adapter.
+    struct HintProbe(Arc<Mutex<Vec<(SimTime, bool)>>>);
+
+    impl RateAdapter for HintProbe {
+        fn name(&self) -> &'static str {
+            "hint-probe"
+        }
+        fn pick_rate(&mut self, _now: SimTime) -> BitRate {
+            BitRate::R6
+        }
+        fn report(&mut self, _now: SimTime, _rate: BitRate, _success: bool) {}
+        fn report_movement_hint(&mut self, now: SimTime, moving: bool) {
+            self.0.lock().expect("probe lock").push((now, moving));
+        }
+        fn reset(&mut self, _now: SimTime) {}
+    }
+
+    #[test]
+    fn phase_b_adapters_read_the_hints_phase_a_scans_read() {
+        // One eastbound walker that pauses twice, crossing AP 0 → AP 1;
+        // an off-grid reassociation cost puts span starts between
+        // 2 ms hint samples.
+        let mut spec = crossing_fleet("hint-aware");
+        spec.clients.truncate(1);
+        let leg = |state, secs| MotionSegment {
+            state,
+            duration: SimDuration::from_secs(secs),
+            heading_deg: 90.0,
+        };
+        let walk = MotionState::Walking { speed_mps: 1.6 };
+        spec.clients[0].motion = MotionSpec::Custom(vec![
+            leg(walk, 30),
+            leg(MotionState::Static, 7),
+            leg(walk, 30),
+            leg(MotionState::Static, 3),
+            leg(walk, 20),
+        ]);
+        spec.handoff.reassociation_cost = SimDuration::from_micros(50_001);
+        spec.protocol.name = "hint-probe".into();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let mut registry = ProtocolRegistry::builtin();
+        let log = Arc::clone(&seen);
+        registry.register("hint-probe", move |_| Box::new(HintProbe(Arc::clone(&log))));
+        let fleet = FleetScenario::compile_with(&spec, &registry).expect("valid");
+        let hints = fleet.hints[0].as_ref().expect("sensor hints");
+        let spans = fleet.associate_clients().0.swap_remove(0).spans;
+        assert!(spans.windows(2).any(|w| w[0].2 != w[1].2), "{spans:?}");
+
+        let scan_us = spec.handoff.scan_interval.as_micros();
+        let (mut ticks, mut edges) = (0, 0);
+        for (k, &(from, to, ap)) in spans.iter().enumerate() {
+            seen.lock().expect("probe lock").clear();
+            let task = SpanTask {
+                client: 0,
+                span_idx: k,
+                from,
+                to,
+                ap,
+            };
+            fleet.simulate_span(&task, &BTreeMap::new());
+            // Every hint the span's adapter read is the run-long stream's
+            // value at the same absolute instant.
+            let seen = seen.lock().expect("probe lock");
+            for &(t, moving) in seen.iter() {
+                let at = from + (t - SimTime::ZERO);
+                assert_eq!(moving, hints.query(at), "span {k} at {at}");
+            }
+            edges += seen.windows(2).filter(|w| w[0].1 != w[1].1).count();
+            // And at every scan tick inside the span, the span's window
+            // returns exactly what the Phase A scan read.
+            let window = hints.window(from, to.saturating_since(from));
+            let first = from.as_micros().div_ceil(scan_us) * scan_us;
+            for tick in (first..to.as_micros()).step_by(scan_us as usize) {
+                let tick = SimTime::from_micros(tick);
+                let local = SimTime::ZERO + tick.saturating_since(from);
+                assert_eq!(window.query(local), hints.query(tick), "span {k} at {tick}");
+                ticks += 1;
+            }
+        }
+        assert!(ticks >= 80 && edges >= 2, "{ticks} ticks, {edges} edges");
     }
 
     #[test]

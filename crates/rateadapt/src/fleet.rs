@@ -1318,7 +1318,7 @@ impl Deserialize for FleetClientOutcome {
 /// by shared-medium runs; they serialize only when non-zero, so isolated
 /// outcomes — including every pre-contention golden file — stay
 /// byte-identical.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetApStats {
     /// Total client-association time, seconds (sums across clients, so
     /// it can exceed the run duration).
