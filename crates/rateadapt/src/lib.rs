@@ -51,3 +51,8 @@ pub use scenario::{
 pub use sim::{LinkSimulator, SimResult};
 pub use trace::{Direction, PacketRecord, PacketTrace, TraceError};
 pub use workload::{TcpConfig, TraceSource, Workload};
+
+/// `skip_serializing_if` predicate for the sparse counters in outcomes.
+fn is_zero<T: Default + PartialEq>(v: &T) -> bool {
+    *v == T::default()
+}

@@ -2,7 +2,8 @@
 //!
 //! 1. **Serde round-trips** — every spec shape survives
 //!    spec → JSON → spec with full equality, so spec files are faithful
-//!    experiment descriptions.
+//!    experiment descriptions; every checked-in spec file and golden
+//!    outcome re-serializes to its exact bytes.
 //! 2. **Spec-vs-builder determinism** — a spec-driven run is bit-identical
 //!    to the equivalent hand-built `Trace` + `HintStream` +
 //!    `LinkSimulator` pipeline with the same seeds.
@@ -103,6 +104,96 @@ fn workload_hints_and_protocol_round_trip() {
         ..ScenarioSpec::default()
     };
     assert_eq!(roundtrip(&oracle), oracle);
+}
+
+/// The checked-in artifacts — spec files under `scenarios/` and golden
+/// outcomes under `crates/bench/tests/golden/` — as `(file name, text)`.
+fn checked_in_json(dir: &str) -> Vec<(String, String)> {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(dir);
+    let mut files: Vec<(String, String)> = std::fs::read_dir(&dir)
+        .unwrap_or_else(|e| panic!("{}: {e}", dir.display()))
+        .map(|entry| entry.expect("dir entry").path())
+        .filter(|path| path.extension().is_some_and(|ext| ext == "json"))
+        .map(|path| {
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            let text = std::fs::read_to_string(&path).expect("readable artifact");
+            (name, text)
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn checked_in_specs_and_goldens_round_trip_byte_exactly() {
+    // Spec files are the experiment and goldens pin its result, so each
+    // must survive parse → serialize with its exact bytes (the writers
+    // emit `to_json_pretty()` plus a trailing newline).
+    use hint_rateadapt::{FleetOutcome, FleetSpec, ScenarioOutcome};
+    let specs = checked_in_json("../../scenarios");
+    assert!(specs.len() >= 8, "spec files went missing: {specs:?}");
+    for (name, text) in &specs {
+        let again = if name.starts_with("fleet_") {
+            FleetSpec::from_json(text).map(|s| s.to_json_pretty())
+        } else {
+            ScenarioSpec::from_json(text).map(|s| s.to_json_pretty())
+        };
+        let again = again.unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(
+            again + "\n",
+            *text,
+            "{name} does not re-serialize byte-exactly"
+        );
+    }
+    let goldens = checked_in_json("../bench/tests/golden");
+    assert!(goldens.len() >= 6, "goldens went missing: {goldens:?}");
+    for (name, text) in &goldens {
+        let again = if name.starts_with("fleet_") {
+            let outcome = FleetOutcome::from_json(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            // Isolated goldens carry no `contention` key; it defaults.
+            if !text.contains("\"contention\"") {
+                assert_eq!(outcome.contention, "isolated", "{name}");
+            }
+            outcome.to_json_pretty()
+        } else {
+            let outcome: ScenarioOutcome =
+                serde_json::from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            outcome.to_json_pretty()
+        };
+        assert_eq!(
+            again + "\n",
+            *text,
+            "{name} does not re-serialize byte-exactly"
+        );
+    }
+}
+
+#[test]
+fn explicit_null_backhaul_parses_as_none() {
+    // `backhaul` is `#[serde(default)]`, so an explicit `null` is the
+    // same as leaving the key out, in a single-link spec and on an AP.
+    use hint_rateadapt::fleet::FleetSpec;
+    let spec = ScenarioSpec::default();
+    let compact = spec.to_json();
+    let with_null = format!("{},\"backhaul\":null}}", compact.strip_suffix('}').unwrap());
+    assert_eq!(
+        ScenarioSpec::from_json(&with_null).expect("null backhaul parses"),
+        spec
+    );
+
+    let fleet = FleetSpec::builder()
+        .ap(50.0, 40.0, 60.0)
+        .client(10.0, 40.0, MotionSpec::Stationary, Workload::Udp)
+        .into_spec();
+    let with_null = fleet.to_json().replacen(
+        "\"coverage_m\":60.0",
+        "\"coverage_m\":60.0,\"backhaul\":null",
+        1,
+    );
+    assert!(with_null.contains("\"backhaul\":null"), "{with_null}");
+    let parsed = FleetSpec::from_json(&with_null).expect("null AP backhaul parses");
+    assert_eq!(parsed.aps[0].backhaul, None);
+    assert_eq!(parsed, fleet);
 }
 
 #[test]

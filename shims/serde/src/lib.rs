@@ -3,8 +3,8 @@
 //! The build environment has no access to crates.io, so the workspace
 //! vendors a minimal serialization framework that is drop-in compatible
 //! with the subset of serde the code touches: `#[derive(Serialize,
-//! Deserialize)]` on attribute-free structs and enums, serialized through
-//! JSON by the sibling `serde_json` shim.
+//! Deserialize)]` on structs and enums, serialized through JSON by the
+//! sibling `serde_json` shim.
 //!
 //! Unlike real serde, the data model here is not format-generic: values
 //! serialize into a concrete JSON [`Value`] tree. That is exactly what the
@@ -19,6 +19,52 @@
 //! * unit struct → `null`; unit enum variant → the variant name as a string
 //! * newtype enum variant → `{"Variant": value}`
 //! * struct enum variant → `{"Variant": {fields…}}`
+//!
+//! Named-struct fields take three attributes, with real serde's spelling
+//! and meaning:
+//!
+//! * `#[serde(default)]` — a missing key deserializes as
+//!   `Default::default()`
+//! * `#[serde(default = "path")]` — a missing key deserializes as `path()`
+//! * `#[serde(skip_serializing_if = "path")]` — the key is omitted when
+//!   `path(&self.field)` is true
+//!
+//! Anything else is a `compile_error!` from the derive, so code that
+//! builds against the shim means the same thing against real serde:
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct Renamed {
+//!     #[serde(rename = "y")]
+//!     x: u32,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! #[serde(default)]
+//! struct ContainerDefault {
+//!     x: u32,
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Deserialize)]
+//! enum VariantField {
+//!     V {
+//!         #[serde(default)]
+//!         x: u32,
+//!     },
+//! }
+//! ```
+//!
+//! ```compile_fail
+//! #[derive(serde::Serialize)]
+//! struct UnquotedPath {
+//!     #[serde(skip_serializing_if = Option::is_none)]
+//!     x: Option<u32>,
+//! }
+//! ```
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -247,6 +293,19 @@ pub mod __private {
             .find(|(k, _)| k == name)
             .map(|(_, v)| v)
             .ok_or_else(|| DeError::msg(format!("missing field `{name}` in {ty}")))
+    }
+
+    /// Deserialize an optional object field, calling `default` when the
+    /// key is absent (`#[serde(default)]` / `#[serde(default = "path")]`).
+    pub fn field_or<T: Deserialize>(
+        fields: &[(String, Value)],
+        name: &str,
+        default: impl FnOnce() -> T,
+    ) -> Result<T, DeError> {
+        match fields.iter().find(|(k, _)| k == name) {
+            Some((_, v)) => T::from_value(v),
+            None => Ok(default()),
+        }
     }
 
     /// View a value as an object's field list, or fail with context.

@@ -12,16 +12,26 @@
 //! * enums whose variants are unit (with optional explicit discriminants),
 //!   newtype/tuple, or struct-like
 //!
-//! Generic parameters, `#[serde(...)]` attributes, and unions are not
-//! supported and produce a `compile_error!` naming this crate, so a future
-//! reader hits a signpost instead of a confusing expansion failure.
+//! Fields of a named struct accept three `#[serde(...)]` attributes,
+//! spelled as real serde spells them:
+//!
+//! * `default` — a missing key deserializes as `Default::default()`
+//! * `default = "path"` — a missing key deserializes as `path()`
+//! * `skip_serializing_if = "path"` — the key is omitted when
+//!   `path(&self.field)` is true
+//!
+//! Every other `serde` key, and `#[serde(...)]` in any other position
+//! (container, variant, variant field, tuple field), is rejected, as are
+//! generic parameters and unions. Each produces a `compile_error!` naming
+//! this crate, so a future reader hits a signpost instead of a confusing
+//! expansion failure.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// What we learned about the item under derive.
 enum Item {
-    /// `struct S { a: T, b: U }` — field names in declaration order.
-    NamedStruct { name: String, fields: Vec<String> },
+    /// `struct S { a: T, b: U }` — fields in declaration order.
+    NamedStruct { name: String, fields: Vec<Field> },
     /// `struct S(T, U);` — number of unnamed fields.
     TupleStruct { name: String, arity: usize },
     /// `struct S;`
@@ -31,6 +41,16 @@ enum Item {
         name: String,
         variants: Vec<Variant>,
     },
+}
+
+/// One named-struct field and its `#[serde(...)]` settings.
+struct Field {
+    name: String,
+    /// Function producing the value of a missing key; `None` makes the
+    /// key required.
+    default: Option<String>,
+    /// Predicate on `&self.field` that omits the key when true.
+    skip_if: Option<String>,
 }
 
 struct Variant {
@@ -45,13 +65,13 @@ enum VariantShape {
 }
 
 /// Derive `serde::Serialize` (shim edition).
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     expand(input, gen_serialize)
 }
 
 /// Derive `serde::Deserialize` (shim edition).
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     expand(input, gen_deserialize)
 }
@@ -73,7 +93,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
     let tokens: Vec<TokenTree> = input.into_iter().collect();
     let mut i = 0;
 
-    skip_attributes(&tokens, &mut i);
+    reject_serde(&attributes(&tokens, &mut i), "a container")?;
     skip_visibility(&tokens, &mut i);
 
     let kind = match ident_at(&tokens, i) {
@@ -98,10 +118,11 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
         Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
             let body: Vec<TokenTree> = g.stream().into_iter().collect();
             if kind == "struct" {
-                Ok(Item::NamedStruct {
-                    name,
-                    fields: parse_named_fields(&body)?,
-                })
+                let fields = parse_named_fields(&body)?
+                    .into_iter()
+                    .map(|(name, attrs)| parse_field(name, attrs))
+                    .collect::<Result<_, _>>()?;
+                Ok(Item::NamedStruct { name, fields })
             } else {
                 Ok(Item::Enum {
                     name,
@@ -116,7 +137,7 @@ fn parse_item(input: TokenStream) -> Result<Item, String> {
             let body: Vec<TokenTree> = g.stream().into_iter().collect();
             Ok(Item::TupleStruct {
                 name,
-                arity: count_tuple_fields(&body),
+                arity: count_tuple_fields(&body)?,
             })
         }
         Some(TokenTree::Punct(p)) if p.as_char() == ';' && kind == "struct" => {
@@ -133,28 +154,94 @@ fn ident_at(tokens: &[TokenTree], i: usize) -> Option<String> {
     }
 }
 
-/// Skip `#[...]` (and `#![...]`) attribute groups.
-fn skip_attributes(tokens: &[TokenTree], i: &mut usize) {
+/// Skip `#[...]` (and `#![...]`) attribute groups, returning the
+/// argument tokens (everything after `serde`) of each `#[serde...]`.
+fn attributes(tokens: &[TokenTree], i: &mut usize) -> Vec<TokenStream> {
+    let mut serde = Vec::new();
     loop {
-        match tokens.get(*i) {
-            Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
-                *i += 1;
-                if let Some(TokenTree::Punct(p)) = tokens.get(*i) {
-                    if p.as_char() == '!' {
-                        *i += 1;
-                    }
+        let mut j = *i;
+        if !matches!(tokens.get(j), Some(TokenTree::Punct(p)) if p.as_char() == '#') {
+            return serde;
+        }
+        j += 1;
+        if matches!(tokens.get(j), Some(TokenTree::Punct(p)) if p.as_char() == '!') {
+            j += 1;
+        }
+        match tokens.get(j) {
+            Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Bracket => {
+                let mut inner = g.stream().into_iter();
+                if matches!(inner.next(), Some(TokenTree::Ident(id)) if id.to_string() == "serde") {
+                    serde.push(inner.collect());
                 }
-                if let Some(TokenTree::Group(g)) = tokens.get(*i) {
-                    if g.delimiter() == Delimiter::Bracket {
-                        *i += 1;
-                        continue;
-                    }
-                }
-                return;
+                *i = j + 1;
             }
-            _ => return,
+            _ => return serde,
         }
     }
+}
+
+/// Fail if any `#[serde(...)]` sits somewhere the shim does not read it.
+fn reject_serde(attrs: &[TokenStream], position: &str) -> Result<(), String> {
+    if attrs.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "serde shim derive: `#[serde(...)]` is not supported on {position}; \
+         only named-struct fields take it (see shims/serde_derive)"
+    ))
+}
+
+/// Read one named-struct field's `#[serde(...)]` attributes.
+fn parse_field(name: String, attrs: Vec<TokenStream>) -> Result<Field, String> {
+    let mut field = Field {
+        name,
+        default: None,
+        skip_if: None,
+    };
+    let err = |what: String| {
+        Err(format!(
+            "serde shim derive: {what} on field `{}`; supported: `default`, \
+             `default = \"path\"`, `skip_serializing_if = \"path\"` (see shims/serde_derive)",
+            field.name
+        ))
+    };
+    let needs_path = |key: &str| format!("`{key}` needs a string path, as in `{key} = \"path\"`");
+    for attr in attrs {
+        let args: Vec<TokenTree> = match attr.into_iter().collect::<Vec<_>>().as_slice() {
+            [TokenTree::Group(g)] if g.delimiter() == Delimiter::Parenthesis => {
+                g.stream().into_iter().collect()
+            }
+            _ => return err("malformed `#[serde]` attribute".to_string()),
+        };
+        for arg in args.split(|t| matches!(t, TokenTree::Punct(p) if p.as_char() == ',')) {
+            let (key, value) = match arg {
+                [] => continue,
+                [TokenTree::Ident(k), value @ ..] => (k.to_string(), value),
+                _ => return err("malformed `#[serde(...)]` argument".to_string()),
+            };
+            let path = match value {
+                [] => None,
+                [TokenTree::Punct(eq), TokenTree::Literal(lit)] if eq.as_char() == '=' => {
+                    let lit = lit.to_string();
+                    match lit.strip_prefix('"').and_then(|l| l.strip_suffix('"')) {
+                        Some(path) if path.parse::<TokenStream>().is_ok() => Some(path.to_string()),
+                        _ => return err(needs_path(&key)),
+                    }
+                }
+                _ => return err(needs_path(&key)),
+            };
+            match (key.as_str(), path) {
+                ("default", None) => {
+                    field.default = Some("::core::default::Default::default".to_string())
+                }
+                ("default", Some(path)) => field.default = Some(path),
+                ("skip_serializing_if", Some(path)) => field.skip_if = Some(path),
+                ("skip_serializing_if", None) => return err(needs_path(&key)),
+                (other, _) => return err(format!("unsupported serde attribute `{other}`")),
+            }
+        }
+    }
+    Ok(field)
 }
 
 /// Skip `pub`, `pub(crate)`, `pub(in ...)`.
@@ -188,11 +275,12 @@ fn skip_to_comma(tokens: &[TokenTree], i: &mut usize) {
     }
 }
 
-fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<String>, String> {
+/// Field names in declaration order, each with its `#[serde...]` tokens.
+fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<(String, Vec<TokenStream>)>, String> {
     let mut fields = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(tokens, &mut i);
+        let attrs = attributes(tokens, &mut i);
         if i >= tokens.len() {
             break;
         }
@@ -212,19 +300,16 @@ fn parse_named_fields(tokens: &[TokenTree]) -> Result<Vec<String>, String> {
         }
         skip_to_comma(tokens, &mut i);
         i += 1; // past the comma (or end)
-        fields.push(name);
+        fields.push((name, attrs));
     }
     Ok(fields)
 }
 
-fn count_tuple_fields(tokens: &[TokenTree]) -> usize {
-    if tokens.is_empty() {
-        return 0;
-    }
+fn count_tuple_fields(tokens: &[TokenTree]) -> Result<usize, String> {
     let mut n = 0;
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(tokens, &mut i);
+        reject_serde(&attributes(tokens, &mut i), "tuple fields")?;
         skip_visibility(tokens, &mut i);
         if i >= tokens.len() {
             break; // trailing comma
@@ -233,14 +318,14 @@ fn count_tuple_fields(tokens: &[TokenTree]) -> usize {
         i += 1;
         n += 1;
     }
-    n
+    Ok(n)
 }
 
 fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
     let mut variants = Vec::new();
     let mut i = 0;
     while i < tokens.len() {
-        skip_attributes(tokens, &mut i);
+        reject_serde(&attributes(tokens, &mut i), "enum variants")?;
         if i >= tokens.len() {
             break;
         }
@@ -257,12 +342,17 @@ fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
                 let body: Vec<TokenTree> = g.stream().into_iter().collect();
                 i += 1;
-                VariantShape::Tuple(count_tuple_fields(&body))
+                VariantShape::Tuple(count_tuple_fields(&body)?)
             }
             Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
                 let body: Vec<TokenTree> = g.stream().into_iter().collect();
                 i += 1;
-                VariantShape::Named(parse_named_fields(&body)?)
+                let mut names = Vec::new();
+                for (field, attrs) in parse_named_fields(&body)? {
+                    reject_serde(&attrs, "enum-variant fields")?;
+                    names.push(field);
+                }
+                VariantShape::Named(names)
             }
             _ => VariantShape::Unit,
         };
@@ -294,19 +384,28 @@ fn parse_variants(tokens: &[TokenTree]) -> Result<Vec<Variant>, String> {
 fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::NamedStruct { name, fields } => {
-            let pairs = fields
+            let pushes = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "(::std::string::String::from({f:?}), \
-                         ::serde::Serialize::to_value(&self.{f}))"
-                    )
+                .map(|field| {
+                    let f = &field.name;
+                    let push = format!(
+                        "__fields.push((::std::string::String::from({f:?}), \
+                         ::serde::Serialize::to_value(&self.{f})));"
+                    );
+                    match &field.skip_if {
+                        Some(pred) => format!("if !{pred}(&self.{f}) {{ {push} }}"),
+                        None => push,
+                    }
                 })
-                .collect::<Vec<_>>()
-                .join(", ");
+                .collect::<String>();
             (
                 name,
-                format!("::serde::Value::Object(::std::vec![{pairs}])"),
+                format!(
+                    "let mut __fields = ::std::vec::Vec::with_capacity({});\n\
+                     {pushes}\n\
+                     ::serde::Value::Object(__fields)",
+                    fields.len()
+                ),
             )
         }
         Item::TupleStruct { name, arity: 1 } => {
@@ -387,11 +486,19 @@ fn gen_deserialize(item: &Item) -> String {
         Item::NamedStruct { name, fields } => {
             let inits = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_value(\
-                         ::serde::__private::field(__fields, {f:?}, {name:?})?)?,"
-                    )
+                .map(|field| {
+                    let f = &field.name;
+                    match &field.default {
+                        Some(default) => {
+                            format!(
+                                "{f}: ::serde::__private::field_or(__fields, {f:?}, {default})?,"
+                            )
+                        }
+                        None => format!(
+                            "{f}: ::serde::Deserialize::from_value(\
+                             ::serde::__private::field(__fields, {f:?}, {name:?})?)?,"
+                        ),
+                    }
                 })
                 .collect::<Vec<_>>()
                 .join("\n");

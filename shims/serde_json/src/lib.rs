@@ -4,8 +4,10 @@
 //! The value model, compact serializer, and parser live in the sibling
 //! `serde` shim (`serde::Value`); this crate provides the familiar
 //! `serde_json` entry points over them. Output is byte-compatible with real
-//! serde_json for the types this workspace serializes (attribute-free
-//! structs and enums over integers, floats, bools, strings, vectors).
+//! serde_json for the types this workspace serializes: structs and enums
+//! over integers, floats, bools, strings and vectors, with the derive's
+//! `default` and `skip_serializing_if` field attributes (see the `serde`
+//! shim; any other `#[serde(...)]` is a compile error).
 
 use std::fmt;
 
