@@ -4,8 +4,20 @@
 //! into a `Report`, so scheduling cannot leak into results.
 
 use hint_bench::runner::{battery_output, filter_jobs, run_jobs, smoke_battery};
+use std::path::{Path, PathBuf};
 
-/// `run_all --smoke --jobs 4` output equals `--jobs 1`, byte for byte.
+/// The smoke battery's pinned output, relative to the workspace root.
+const SMOKE_GOLDEN: &str = "crates/bench/tests/golden/run_all_smoke.txt";
+
+fn repo_path(rel: &str) -> PathBuf {
+    // CARGO_MANIFEST_DIR is crates/bench.
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(rel)
+}
+
+/// `run_all --smoke --jobs 4` output equals `--jobs 1`, byte for byte,
+/// and both equal the checked-in golden.
 #[test]
 fn smoke_battery_parallel_output_identical_to_serial() {
     let serial = battery_output(smoke_battery(), 1);
@@ -20,6 +32,25 @@ fn smoke_battery_parallel_output_identical_to_serial() {
     assert!(serial.contains("Fig. 2-2"));
     assert!(serial.contains("Table 5.1"));
     assert!(serial.contains("Fig. 5-1"));
+    let golden = std::fs::read_to_string(repo_path(SMOKE_GOLDEN)).expect("smoke golden");
+    assert!(
+        serial == golden,
+        "smoke battery output ({} bytes) diverged from {SMOKE_GOLDEN} ({} bytes); if the \
+         change is intentional, regenerate with \
+         `cargo test -p hint-bench --test parallel_determinism -- --ignored`",
+        serial.len(),
+        golden.len()
+    );
+}
+
+/// Regenerate the smoke battery golden. Deliberate-changes-only: run
+/// with `cargo test -p hint-bench --test parallel_determinism -- --ignored`
+/// and review the diff before committing.
+#[test]
+#[ignore = "regenerates checked-in fixtures; run explicitly after intentional changes"]
+fn regenerate_smoke_golden() {
+    std::fs::write(repo_path(SMOKE_GOLDEN), battery_output(smoke_battery(), 1))
+        .expect("write golden");
 }
 
 /// Filtering composes with parallelism: the filtered slice of the battery

@@ -1,11 +1,12 @@
 //! # hint-cc — closed-loop flow layer
 //!
-//! The repo's original traffic models are open-loop: `run_tcp` is a
-//! window heuristic that never sees a queue, and the wireless hop is the
-//! only place a packet can be delayed or lost. This crate supplies the
-//! pieces of a *closed-loop* flow — the style of ns-2 and FlowForge's
-//! `LossyWindowSender` — so the bottleneck can sit on the wired backhaul
-//! behind the AP instead of on the air:
+//! The link simulator's other traffic models are open-loop: its TCP
+//! model (`Workload::Tcp`) is a window heuristic that never sees a
+//! queue, and the wireless hop is the only place a packet can be
+//! delayed or lost. This crate supplies the pieces of a *closed-loop*
+//! flow — the style of ns-2 and FlowForge's `LossyWindowSender` — so
+//! the bottleneck can sit on the wired backhaul behind the AP instead of
+//! on the air:
 //!
 //! * [`controller`] — the object-safe [`CongestionController`] trait plus
 //!   the two baseline controllers: [`Reno`] (slow start + AIMD) and

@@ -479,11 +479,16 @@ struct SpanTask {
     ap: usize,
 }
 
-/// Fold one span's simulation result into its client's running sums.
-/// Every operation is a commutative integer addition (goodput is
-/// computed from the totals after all spans land), so the fold order —
-/// and hence the worker count — cannot affect the outcome.
-fn merge_span(merged: &mut SimResult, from: SimTime, result: &SimResult) {
+/// Fold one span's simulation result into its client's running sums,
+/// including its delivered payload bits (goodput is computed from those
+/// after all spans land). Every operation is a commutative integer
+/// addition, so the fold order — and hence the worker count — cannot
+/// affect the outcome.
+fn merge_span(merged: &mut SimResult, delivered_bits: &mut u64, from: SimTime, result: &SimResult) {
+    // A span's goodput is its integer delivered-bit count over its own
+    // duration, so multiplying back recovers that count exactly — with
+    // each record's own size when the client replays a trace.
+    *delivered_bits += (result.goodput_bps * result.duration.as_secs_f64()).round() as u64;
     merged.packets_sent += result.packets_sent;
     merged.packets_delivered += result.packets_delivered;
     merged.attempts += result.attempts;
@@ -1121,12 +1126,14 @@ impl FleetScenario {
                 backhaul_dropped: 0,
             })
             .collect();
+        let mut delivered_bits = vec![0u64; n_clients];
 
         let workers = jobs.min(tasks.len().max(1));
         if workers <= 1 {
             for task in &tasks {
                 let result = self.simulate_span(task, &epoch_shares);
-                merge_span(&mut merged[task.client], task.from, &result);
+                let c = task.client;
+                merge_span(&mut merged[c], &mut delivered_bits[c], task.from, &result);
             }
         } else {
             // The runner-pool idiom: an atomic cursor hands out arena
@@ -1155,16 +1162,15 @@ impl FleetScenario {
                 drop(tx);
                 for (i, result) in rx {
                     let task = &tasks[i];
-                    merge_span(&mut merged[task.client], task.from, &result);
+                    let c = task.client;
+                    merge_span(&mut merged[c], &mut delivered_bits[c], task.from, &result);
                 }
             });
         }
 
         let mut client_outcomes = Vec::with_capacity(n_clients);
         for ((c, run), mut merged) in runs.iter().enumerate().zip(merged) {
-            merged.goodput_bps =
-                merged.packets_delivered as f64 * f64::from(self.spec.payload_bytes) * 8.0
-                    / duration.as_secs_f64();
+            merged.goodput_bps = delivered_bits[c] as f64 / duration.as_secs_f64();
             client_outcomes.push(FleetClientOutcome {
                 client: c,
                 aps_visited: run.aps_visited.clone(),
@@ -1332,7 +1338,7 @@ mod tests {
     };
     use hint_rateadapt::protocols::RateAdapter;
     use hint_rateadapt::scenario::MotionSpec;
-    use hint_rateadapt::Workload;
+    use hint_rateadapt::{Direction, PacketRecord, PacketTrace, Workload};
     use hint_sensors::motion::MotionState;
     use std::sync::{Arc, Mutex};
 
@@ -1686,6 +1692,39 @@ mod tests {
         let iso_json = iso.to_json_pretty();
         assert!(!iso_json.contains("contention"), "{iso_json}");
         assert!(!iso_json.contains("contended_busy_s"), "{iso_json}");
+    }
+
+    #[test]
+    fn trace_client_goodput_counts_record_bytes() {
+        // A client replaying 1000-byte records in a 1500-byte fleet: its
+        // goodput is the record bytes it delivered, not packets times
+        // the spec payload.
+        let records = (0..2000u64)
+            .map(|i| PacketRecord {
+                time_us: i * 5_000,
+                direction: Direction::Send,
+                size: 1000,
+            })
+            .collect();
+        let spec = FleetSpec::builder()
+            .bounds(140.0, 100.0)
+            .ap(70.0, 50.0, 65.0)
+            .client(
+                75.0,
+                50.0,
+                MotionSpec::Stationary,
+                Workload::trace(PacketTrace::new(records).unwrap()),
+            )
+            .duration(SimDuration::from_secs(10))
+            .seed(0x7ACE)
+            .handoff_policy("strongest-signal")
+            .payload_bytes(1500)
+            .into_spec();
+        let out = FleetScenario::compile(&spec).expect("valid").run();
+        let result = &out.clients[0].outcome.result;
+        assert!(result.packets_delivered > 0);
+        let delivered_bits = (result.goodput_bps * 10.0).round() as u64;
+        assert_eq!(delivered_bits, result.packets_delivered * 1000 * 8);
     }
 
     #[test]

@@ -25,7 +25,6 @@ use hint_mac::{BitRate, MacTiming};
 use hint_sim::{RngStream, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::VecDeque;
 
 /// Standard deviation of per-packet SNR measurement noise, dB.
@@ -81,6 +80,87 @@ impl SimResult {
     }
 }
 
+/// Everything one run counts, shared by every workload: the per-packet
+/// noise stream, the counters, the per-second delivery series and the
+/// optional recording. [`Tally::deliver`] is the only place a delivery
+/// is counted and [`Tally::finish`] the only place a [`SimResult`] is
+/// built.
+struct Tally<'r> {
+    /// Per-packet independent noise-loss draws (see [`Trace::noise_loss`]):
+    /// noise events are shorter than a 5 ms slot, so they are drawn here,
+    /// per packet, rather than baked into slot fates.
+    noise: RngStream,
+    sent: u64,
+    delivered: u64,
+    delivered_bytes: u64,
+    attempts: u64,
+    rate_usage: [u64; BitRate::COUNT],
+    per_second: Vec<u64>,
+    backhaul_dropped: u64,
+    rec: Option<&'r mut Vec<PacketRecord>>,
+}
+
+impl<'r> Tally<'r> {
+    fn new(seed: u64, duration: SimDuration, rec: Option<&'r mut Vec<PacketRecord>>) -> Self {
+        Tally {
+            noise: RngStream::new(seed).derive("link-noise"),
+            sent: 0,
+            delivered: 0,
+            delivered_bytes: 0,
+            attempts: 0,
+            rate_usage: [0; BitRate::COUNT],
+            per_second: vec![0; duration.as_secs_f64().ceil() as usize],
+            backhaul_dropped: 0,
+            rec,
+        }
+    }
+
+    /// Count a delivered packet of `size` bytes. It is bucketed (and
+    /// recorded) by its **send-start** second: a retry chain, RTO
+    /// backoff or ack can push the completion past the trace end, but
+    /// the send start is always inside the trace, so the series sums to
+    /// `packets_delivered`.
+    #[inline(always)]
+    fn deliver(&mut self, send_start: SimTime, size: u32) {
+        self.delivered += 1;
+        self.delivered_bytes += u64::from(size);
+        let sec = (send_start.as_micros() / 1_000_000) as usize;
+        if let Some(n) = self.per_second.get_mut(sec) {
+            *n += 1;
+        }
+        if let Some(r) = self.rec.as_deref_mut() {
+            r.push(PacketRecord {
+                time_us: send_start.as_micros(),
+                direction: Direction::Send,
+                size,
+            });
+        }
+    }
+
+    fn finish(self, duration: SimDuration) -> SimResult {
+        SimResult {
+            packets_sent: self.sent,
+            packets_delivered: self.delivered,
+            attempts: self.attempts,
+            goodput_bps: self.delivered_bytes as f64 * 8.0 / duration.as_secs_f64(),
+            duration,
+            rate_usage: self.rate_usage,
+            delivered_per_second: self.per_second,
+            backhaul_dropped: self.backhaul_dropped,
+        }
+    }
+}
+
+/// The RTO backoff curve of both TCP models: `base` doubled `shift`
+/// times (at most 32), saturating at `max`.
+fn rto_backoff(base: SimDuration, shift: u32, max: SimDuration) -> SimDuration {
+    SimDuration::from_micros(
+        base.as_micros()
+            .saturating_mul(1 << shift.min(32))
+            .min(max.as_micros()),
+    )
+}
+
 /// The trace-driven link simulator.
 ///
 /// The simulator either **borrows** its trace and hint stream (the
@@ -100,10 +180,6 @@ pub struct LinkSimulator<'a> {
     /// in (rate, payload), and a 10 s trace makes tens of thousands of
     /// attempts).
     exchange_airtimes: [SimDuration; BitRate::COUNT],
-    /// Per-packet independent noise-loss draws (see [`Trace::noise_loss`]):
-    /// noise events are shorter than a 5 ms slot, so they are drawn here,
-    /// per packet, rather than baked into slot fates.
-    noise_rng: RefCell<RngStream>,
     /// Per-second airtime shares from a shared-medium arbiter (see
     /// [`LinkSimulator::with_airtime_shares`]); `None` — the default —
     /// is the uncontended sender, byte-identical to the pre-contention
@@ -130,16 +206,12 @@ impl<'a> LinkSimulator<'a> {
 
     fn over(trace: Cow<'a, Trace>) -> Self {
         let timing = MacTiming::ieee80211a();
-        // Placeholder state only: run() re-derives this stream from the
-        // trace seed on every call, so each run is independent.
-        let noise_rng = RefCell::new(RngStream::new(trace.seed).derive("link-noise"));
         LinkSimulator {
             trace,
             exchange_airtimes: Self::airtime_table(&timing, 1000),
             timing,
             payload_bytes: 1000,
             hints: None,
-            noise_rng,
             airtime_shares: None,
             backhaul: None,
         }
@@ -263,12 +335,29 @@ impl<'a> LinkSimulator<'a> {
         workload: &Workload,
         rec: Option<&mut Vec<PacketRecord>>,
     ) -> SimResult {
-        *self.noise_rng.borrow_mut() = RngStream::new(self.trace.seed).derive("link-noise");
+        let duration = self.trace.duration();
+        // Seeded from the trace on every call, so each run is independent.
+        let mut tally = Tally::new(self.trace.seed, duration, rec);
         match workload {
-            Workload::Udp => self.run_udp(adapter, rec),
-            Workload::Tcp(cfg) => self.run_tcp(adapter, *cfg, rec),
-            Workload::Flow(cfg) => self.run_flow(adapter, cfg, rec),
-            Workload::Trace(TraceSource::Inline(t)) => self.run_trace(adapter, t, rec),
+            // Saturated UDP is the replay of an endless schedule offering
+            // every packet at time zero: each goes out the moment the
+            // previous one is done.
+            Workload::Udp => self.run_open_loop(
+                adapter,
+                &mut tally,
+                std::iter::repeat((SimTime::ZERO, self.payload_bytes)),
+            ),
+            Workload::Tcp(cfg) => self.run_tcp(adapter, &mut tally, cfg),
+            Workload::Flow(cfg) => self.run_flow(adapter, &mut tally, cfg),
+            // `r` records are receiver-side context and do not transmit.
+            Workload::Trace(TraceSource::Inline(t)) => self.run_open_loop(
+                adapter,
+                &mut tally,
+                t.records
+                    .iter()
+                    .filter(|r| r.direction == Direction::Send)
+                    .map(|r| (SimTime::from_micros(r.time_us), r.size)),
+            ),
             Workload::Trace(TraceSource::Path(p)) => {
                 // Programmer error, not a spec error: every spec path
                 // (scenario and fleet compilation) resolves trace files
@@ -279,6 +368,7 @@ impl<'a> LinkSimulator<'a> {
                 );
             }
         }
+        tally.finish(duration)
     }
 
     /// Feed the per-packet side channels (hints + SNR).
@@ -291,7 +381,8 @@ impl<'a> LinkSimulator<'a> {
     /// might not hold for all symbols in the packet") — at vehicular
     /// speeds a preamble-based SNR estimate is close to useless, which is
     /// why the SNR-based protocols trail RapidSample by ~2x in Fig. 3-8.
-    fn feedback(&self, adapter: &mut dyn RateAdapter, now: SimTime) {
+    #[inline(always)]
+    fn feedback(&self, adapter: &mut dyn RateAdapter, noise: &mut RngStream, now: SimTime) {
         if let Some(h) = &self.hints {
             adapter.report_movement_hint(now, h.query(now));
         }
@@ -303,185 +394,132 @@ impl<'a> LinkSimulator<'a> {
         // because the *receiver's own estimator* physically degrades with
         // its own motion).
         let noise_db = SNR_MEASUREMENT_NOISE_DB + 4.0 * (slot.speed_mps / 20.0).min(1.0);
-        let measured = slot.snr_db + self.noise_rng.borrow_mut().normal() * noise_db;
+        let measured = slot.snr_db + noise.normal() * noise_db;
         adapter.report_snr(now, measured);
     }
 
-    /// One link attempt at `now`; returns (success, completion time).
+    /// Send one packet of `size` bytes at `start`: feed the side
+    /// channels, then make up to `link_attempts` link attempts (at least
+    /// one) until one succeeds or the trace `end` passes. Returns whether
+    /// the packet got through and when its last attempt finished.
     ///
-    /// `rate_cap` models the MadWiFi-style multi-rate-retry chain: retry
-    /// attempt `k` of a segment may not go faster than the first attempt's
-    /// rate stepped down `k` notches, regardless of what the adapter says
-    /// (the driver programs the whole chain before the frame leaves).
-    fn attempt(
+    /// Retries follow a MadWiFi-style multi-rate-retry chain: attempt `k`
+    /// may not go faster than the first attempt's rate stepped down `k`
+    /// notches, regardless of what the adapter says (the driver programs
+    /// the whole chain before the frame leaves).
+    #[inline(always)]
+    fn send(
         &self,
         adapter: &mut dyn RateAdapter,
-        now: SimTime,
-        usage: &mut [u64; BitRate::COUNT],
-        rate_cap: Option<usize>,
-    ) -> (bool, SimTime, BitRate) {
-        self.attempt_sized(adapter, now, usage, rate_cap, None)
-    }
-
-    /// [`LinkSimulator::attempt`] with an optional per-packet payload
-    /// size override: trace replay carries each record's own size, so
-    /// its airtime is computed per packet instead of from the hoisted
-    /// fixed-payload table (`None` is byte-identical to the table path).
-    fn attempt_sized(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        now: SimTime,
-        usage: &mut [u64; BitRate::COUNT],
-        rate_cap: Option<usize>,
-        size: Option<u32>,
-    ) -> (bool, SimTime, BitRate) {
-        let mut rate = adapter.pick_rate(now);
-        if let Some(cap) = rate_cap {
+        tally: &mut Tally,
+        start: SimTime,
+        end: SimTime,
+        link_attempts: u32,
+        size: u32,
+    ) -> (bool, SimTime) {
+        self.feedback(adapter, &mut tally.noise, start);
+        let mut now = start;
+        let mut first_rate = None;
+        // Spec validation rejects zero attempts; the clamp keeps a
+        // direct-API degenerate config from looping without advancing
+        // time.
+        for k in 0..link_attempts.max(1) {
+            let mut rate = adapter.pick_rate(now);
+            let cap = first_rate
+                .get_or_insert(rate.index())
+                .saturating_sub(k as usize);
             if rate.index() > cap {
                 rate = BitRate::from_index(cap);
             }
-        }
-        usage[rate.index()] += 1;
-        let noise_hit = self.noise_rng.borrow_mut().chance(self.trace.noise_loss);
-        let ok = self.trace.fate(now, rate) && !noise_hit;
-        let airtime = match size {
-            None => self.exchange_airtimes[rate.index()],
-            Some(bytes) => self.timing.exchange_airtime(rate, bytes),
-        };
-        let done = match &self.airtime_shares {
-            // Uncontended: exact pre-contention arithmetic.
-            None => now + airtime,
-            Some(shares) => {
-                let sec = (now.as_micros() / 1_000_000) as usize;
-                let share = shares.get(sec).copied().unwrap_or(1.0);
-                now + SimDuration::from_micros((airtime.as_micros() as f64 / share).round() as u64)
+            tally.rate_usage[rate.index()] += 1;
+            tally.attempts += 1;
+            let noise_hit = tally.noise.chance(self.trace.noise_loss);
+            let ok = self.trace.fate(now, rate) && !noise_hit;
+            // Only a replayed record of another size misses the table.
+            let airtime = if size == self.payload_bytes {
+                self.exchange_airtimes[rate.index()]
+            } else {
+                self.timing.exchange_airtime(rate, size)
+            };
+            now = match &self.airtime_shares {
+                // Uncontended: exact pre-contention arithmetic.
+                None => now + airtime,
+                Some(shares) => {
+                    let sec = (now.as_micros() / 1_000_000) as usize;
+                    let share = shares.get(sec).copied().unwrap_or(1.0);
+                    now + SimDuration::from_micros(
+                        (airtime.as_micros() as f64 / share).round() as u64
+                    )
+                }
+            };
+            adapter.report(now, rate, ok);
+            if ok {
+                return (true, now);
             }
-        };
-        adapter.report(done, rate, ok);
-        (ok, done, rate)
+            if now >= end {
+                break;
+            }
+        }
+        (false, now)
     }
 
-    fn run_udp(
+    /// The open-loop sender behind UDP and trace replay.
+    ///
+    /// Each `(offer time, size)` entry of the time-sorted `schedule` is
+    /// offered at `max(offer time, previous packet done)` with one link
+    /// attempt — the schedule paces the sender, the link serialises it —
+    /// so idle gaps are skipped deterministically instead of being
+    /// busy-waited. The record's own size drives airtime and goodput.
+    fn run_open_loop(
         &self,
         adapter: &mut dyn RateAdapter,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
+        tally: &mut Tally,
+        schedule: impl Iterator<Item = (SimTime, u32)>,
+    ) {
         let end = SimTime::ZERO + self.trace.duration();
         let mut now = SimTime::ZERO;
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
-        while now < end {
-            self.feedback(adapter, now);
-            let (ok, done, _) = self.attempt(adapter, now, &mut usage, None);
-            sent += 1;
+        for (offer, size) in schedule {
+            now = now.max(offer);
+            // The channel trace ends before the schedule does: stop
+            // (nothing later in the schedule fits either).
+            if now >= end {
+                break;
+            }
+            tally.sent += 1;
+            let (ok, done) = self.send(adapter, tally, now, end, 1, size);
             if ok {
-                delivered += 1;
-                let sec = (now.as_micros() / 1_000_000) as usize;
-                if sec < per_second.len() {
-                    per_second[sec] += 1;
-                }
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push(PacketRecord {
-                        time_us: now.as_micros(),
-                        direction: Direction::Send,
-                        size: self.payload_bytes,
-                    });
-                }
+                tally.deliver(now, size);
             }
             now = done;
         }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: sent,
-            goodput_bps: delivered as f64 * f64::from(self.payload_bytes) * 8.0
-                / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: 0,
-        }
     }
 
-    fn run_tcp(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        cfg: TcpConfig,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
+    /// The open-loop TCP model (see [`TcpConfig`]): each segment runs the
+    /// retry chain; the window paces segments per RTT, halves on a lost
+    /// segment and collapses into RTO backoff on sustained loss.
+    fn run_tcp(&self, adapter: &mut dyn RateAdapter, tally: &mut Tally, cfg: &TcpConfig) {
         let end = SimTime::ZERO + self.trace.duration();
         let mut now = SimTime::ZERO;
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut attempts_total = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
         let mut cwnd: f64 = 2.0;
         let mut ssthresh: f64 = cfg.cwnd_cap;
         let mut consecutive_drops = 0u32;
         let mut window_start = now;
         let mut pkts_in_window = 0.0f64;
-        // Spec validation rejects link_attempts == 0; clamp anyway so a
-        // direct-API degenerate config cannot loop without advancing
-        // time (identity for every valid config).
-        let link_attempts = cfg.link_attempts.max(1);
-        // How many RTO doublings fit under rto_max (see the TcpConfig
-        // rustdoc): derived from the configured pair instead of the old
-        // hard-coded 16x cap, which silently truncated the curve
-        // whenever rto_max > 16 * rto.
-        let backoff_shift_cap = cfg.backoff_shift_cap();
 
         while now < end {
-            self.feedback(adapter, now);
-
-            // One TCP segment: up to `link_attempts` MAC tries with a
-            // multi-rate-retry chain stepping the cap down each retry.
-            sent += 1;
+            tally.sent += 1;
             let seg_start = now;
-            let mut ok = false;
-            let mut first_rate_idx = None;
-            for k in 0..link_attempts {
-                let cap = first_rate_idx.map(|r0: usize| r0.saturating_sub(k as usize));
-                let (a_ok, done, rate) = self.attempt(adapter, now, &mut usage, cap);
-                if first_rate_idx.is_none() {
-                    first_rate_idx = Some(rate.index());
-                }
-                attempts_total += 1;
-                now = done;
-                if a_ok {
-                    ok = true;
-                    break;
-                }
-                if now >= end {
-                    break;
-                }
-            }
-
+            let (ok, done) = self.send(
+                adapter,
+                tally,
+                now,
+                end,
+                cfg.link_attempts,
+                self.payload_bytes,
+            );
+            now = done;
             if ok {
-                delivered += 1;
-                // Bucket by the segment's send-start second (as UDP
-                // does): a retry chain or RTO backoff can push the
-                // *completion* time past `end`, and bucketing by that
-                // used to silently drop the delivery from the series.
-                // The send start is always inside the trace, so the sum
-                // of the series equals `packets_delivered`.
-                let sec = (seg_start.as_micros() / 1_000_000) as usize;
-                if sec < per_second.len() {
-                    per_second[sec] += 1;
-                }
-                if let Some(r) = rec.as_deref_mut() {
-                    r.push(PacketRecord {
-                        time_us: seg_start.as_micros(),
-                        direction: Direction::Send,
-                        size: self.payload_bytes,
-                    });
-                }
+                tally.deliver(seg_start, self.payload_bytes);
                 consecutive_drops = 0;
                 cwnd = if cwnd < ssthresh {
                     (cwnd + 1.0).min(cfg.cwnd_cap)
@@ -495,11 +533,7 @@ impl<'a> LinkSimulator<'a> {
                     // Sustained blackout ⇒ retransmission timeout with
                     // exponential backoff ("TCP times out when faced with
                     // the high loss rate of the mobile case").
-                    let backoff = 1u64 << (consecutive_drops - 3).min(backoff_shift_cap);
-                    let rto = SimDuration::from_micros(
-                        (cfg.rto.as_micros().saturating_mul(backoff)).min(cfg.rto_max.as_micros()),
-                    );
-                    now += rto;
+                    now += rto_backoff(cfg.rto, consecutive_drops - 3, cfg.rto_max);
                     cwnd = 1.0;
                 } else {
                     // Fast-retransmit-style halving.
@@ -518,87 +552,6 @@ impl<'a> LinkSimulator<'a> {
                 pkts_in_window = 0.0;
             }
         }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: attempts_total,
-            goodput_bps: delivered as f64 * f64::from(self.payload_bytes) * 8.0
-                / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: 0,
-        }
-    }
-
-    /// Replay a recorded packet trace against the link.
-    ///
-    /// Each `s` record is offered at `max(recorded time, previous packet
-    /// done)` — the schedule paces the sender, the link serialises it —
-    /// so idle gaps in the recording are skipped deterministically
-    /// instead of being busy-waited. `r` records are receiver-side
-    /// context and do not transmit. One link attempt per packet (like
-    /// UDP), with the record's own payload size driving airtime and
-    /// goodput.
-    fn run_trace(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        t: &PacketTrace,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
-        let end = SimTime::ZERO + self.trace.duration();
-        let mut now = SimTime::ZERO;
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut delivered_bytes = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
-        for r in t.records.iter().filter(|r| r.direction == Direction::Send) {
-            let scheduled = SimTime::ZERO + SimDuration::from_micros(r.time_us);
-            if scheduled > now {
-                now = scheduled;
-            }
-            // The channel trace ends before the packet trace does: stop
-            // replaying (records are time-sorted, so nothing later fits
-            // either).
-            if now >= end {
-                break;
-            }
-            self.feedback(adapter, now);
-            let (ok, done, _) = self.attempt_sized(adapter, now, &mut usage, None, Some(r.size));
-            sent += 1;
-            if ok {
-                delivered += 1;
-                delivered_bytes += u64::from(r.size);
-                let sec = (now.as_micros() / 1_000_000) as usize;
-                if sec < per_second.len() {
-                    per_second[sec] += 1;
-                }
-                if let Some(out) = rec.as_deref_mut() {
-                    out.push(PacketRecord {
-                        time_us: now.as_micros(),
-                        direction: Direction::Send,
-                        size: r.size,
-                    });
-                }
-            }
-            now = done;
-        }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: sent,
-            goodput_bps: delivered_bytes as f64 * 8.0 / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: 0,
-        }
     }
 
     /// The closed-loop flow sender (`LossyWindowSender` style).
@@ -615,28 +568,13 @@ impl<'a> LinkSimulator<'a> {
     /// stalls the flow. Losses surfaced by later acks are charged as
     /// fast-retransmit-style loss events instead.
     ///
-    /// Accounting matches the other workloads: deliveries bucket into
-    /// `delivered_per_second` by **send-start** second (always inside
-    /// the trace), so the series sums to `packets_delivered` even when a
-    /// retry chain or ack crosses the trace end. Every packet's fate is
-    /// forward-computed at its send time, in send order — the only RNG
-    /// the flow path touches is the shared per-attempt noise stream, in
-    /// exactly the per-packet order the open-loop workloads use, so flow
-    /// runs stay byte-identical at any `--jobs`.
-    fn run_flow(
-        &self,
-        adapter: &mut dyn RateAdapter,
-        cfg: &FlowConfig,
-        mut rec: Option<&mut Vec<PacketRecord>>,
-    ) -> SimResult {
+    /// Every packet's fate is forward-computed at its send time, in send
+    /// order — the only RNG the flow path touches is the shared
+    /// per-attempt noise stream, in exactly the per-packet order the
+    /// open-loop workloads use, so flow runs stay byte-identical at any
+    /// `--jobs`.
+    fn run_flow(&self, adapter: &mut dyn RateAdapter, tally: &mut Tally, cfg: &FlowConfig) {
         let end = SimTime::ZERO + self.trace.duration();
-        let mut sent = 0u64;
-        let mut delivered = 0u64;
-        let mut attempts_total = 0u64;
-        let mut dropped = 0u64;
-        let mut usage = [0u64; BitRate::COUNT];
-        let mut per_second = vec![0u64; self.trace.duration().as_secs_f64().ceil() as usize];
-
         let mut cc = match CcaRegistry::builtin_shared().try_build(&cfg.cca) {
             Ok(cc) => cc,
             // Programmer error, not a spec error: FlowConfig::validate —
@@ -647,10 +585,6 @@ impl<'a> LinkSimulator<'a> {
         let mut rtt_est = RttEstimator::new();
         let mut queue = self.backhaul.map(|b| DropTailQueue::new(b.queue_pkts));
         let wire_delay = self.backhaul.map_or(SimDuration::ZERO, |b| b.delay);
-        // Spec validation rejects link_attempts == 0; clamp anyway so a
-        // direct-API degenerate config cannot loop without advancing
-        // time (identity for every valid config).
-        let link_attempts = cfg.link_attempts.max(1);
 
         /// One in-flight packet: when it left the sender, and when its
         /// ack arrives (`None` = lost on the wire or in the air).
@@ -666,16 +600,6 @@ impl<'a> LinkSimulator<'a> {
         let mut air_free = SimTime::ZERO;
         // Consecutive-timeout doublings of the estimator's RTO.
         let mut rto_shift = 0u32;
-        let rto_current = |est: &RttEstimator, shift: u32| -> SimDuration {
-            let base = est
-                .rto()
-                .as_micros()
-                .clamp(cfg.rto_min.as_micros(), cfg.rto_max.as_micros());
-            SimDuration::from_micros(
-                base.saturating_mul(1u64 << shift.min(32))
-                    .min(cfg.rto_max.as_micros()),
-            )
-        };
 
         loop {
             // Fill the congestion window (floored at one packet so the
@@ -684,20 +608,20 @@ impl<'a> LinkSimulator<'a> {
             // forward-computed here, in send order.
             let window = cc.window().max(1.0);
             while now < end && (flight.len() as f64) < window {
-                sent += 1;
+                tally.sent += 1;
                 let sent_at = now;
                 // Wired segment: serialise through the drop-tail queue.
                 let air_arrival = match (&mut queue, self.backhaul) {
                     (Some(q), Some(b)) => match q.offer(sent_at, b.tx_time(self.payload_bytes)) {
                         Some(departure) => Some(departure + wire_delay),
                         None => {
-                            dropped += 1;
+                            tally.backhaul_dropped += 1;
                             None
                         }
                     },
                     _ => Some(sent_at),
                 };
-                // Air segment: the TCP model's multi-rate-retry chain.
+                // Air segment: the shared retry chain.
                 let mut ack_at = None;
                 if let Some(arrival) = air_arrival {
                     let air_start = arrival.max(air_free);
@@ -706,43 +630,21 @@ impl<'a> LinkSimulator<'a> {
                     // acked), exactly as the open-loop models stop at
                     // `end`.
                     if air_start < end {
-                        self.feedback(adapter, air_start);
-                        let mut t = air_start;
-                        let mut first_rate_idx = None;
-                        for k in 0..link_attempts {
-                            let cap = first_rate_idx.map(|r0: usize| r0.saturating_sub(k as usize));
-                            let (a_ok, done, rate) = self.attempt(adapter, t, &mut usage, cap);
-                            if first_rate_idx.is_none() {
-                                first_rate_idx = Some(rate.index());
-                            }
-                            attempts_total += 1;
-                            t = done;
-                            if a_ok {
-                                ack_at = Some(t + wire_delay);
-                                break;
-                            }
-                            if t >= end {
-                                break;
-                            }
+                        let (ok, done) = self.send(
+                            adapter,
+                            tally,
+                            air_start,
+                            end,
+                            cfg.link_attempts,
+                            self.payload_bytes,
+                        );
+                        if ok {
+                            // Bucketed by send start, inside the trace
+                            // even when the ack lands past `end`.
+                            tally.deliver(sent_at, self.payload_bytes);
+                            ack_at = Some(done + wire_delay);
                         }
-                        air_free = t;
-                    }
-                }
-                if ack_at.is_some() {
-                    delivered += 1;
-                    // Bucket by send-start second, as every workload
-                    // does: the send is always inside the trace even
-                    // when the ack lands past `end`.
-                    let sec = (sent_at.as_micros() / 1_000_000) as usize;
-                    if sec < per_second.len() {
-                        per_second[sec] += 1;
-                    }
-                    if let Some(r) = rec.as_deref_mut() {
-                        r.push(PacketRecord {
-                            time_us: sent_at.as_micros(),
-                            direction: Direction::Send,
-                            size: self.payload_bytes,
-                        });
+                        air_free = done;
                     }
                 }
                 flight.push_back(InFlight { sent_at, ack_at });
@@ -772,7 +674,8 @@ impl<'a> LinkSimulator<'a> {
                     // halving, pipe keeps moving. Otherwise the timer
                     // fires: a timeout event, window collapse, doubled
                     // timer for the next head.
-                    let timeout_at = head.sent_at + rto_current(&rtt_est, rto_shift);
+                    let base = rtt_est.rto().clamp(cfg.rto_min, cfg.rto_max);
+                    let timeout_at = head.sent_at + rto_backoff(base, rto_shift, cfg.rto_max);
                     let next_ack = flight.iter().filter_map(|p| p.ack_at).min();
                     match next_ack {
                         Some(ack_at) if ack_at <= timeout_at => {
@@ -793,19 +696,6 @@ impl<'a> LinkSimulator<'a> {
                     }
                 }
             }
-        }
-
-        let duration = self.trace.duration();
-        SimResult {
-            packets_sent: sent,
-            packets_delivered: delivered,
-            attempts: attempts_total,
-            goodput_bps: delivered as f64 * f64::from(self.payload_bytes) * 8.0
-                / duration.as_secs_f64(),
-            duration,
-            rate_usage: usage,
-            delivered_per_second: per_second,
-            backhaul_dropped: dropped,
         }
     }
 }
@@ -993,6 +883,27 @@ mod tests {
         let sum: u64 = res.delivered_per_second.iter().sum();
         assert_eq!(sum, res.packets_delivered);
         assert!(res.packets_delivered > 0);
+    }
+
+    #[test]
+    fn rto_backoff_doubles_up_to_rto_max() {
+        let ms = SimDuration::from_millis;
+        // Defaults (200 ms -> 3 s): 1.6 s after 3 doublings, the 3 s
+        // ceiling at the 4th, and it stays there.
+        assert_eq!(rto_backoff(ms(200), 3, ms(3000)), ms(1600));
+        assert_eq!(rto_backoff(ms(200), 4, ms(3000)), ms(3000));
+        assert_eq!(rto_backoff(ms(200), 40, ms(3000)), ms(3000));
+        // A taller ceiling needs more doublings: 51.2 s is 2^8 x 200 ms.
+        assert_eq!(rto_backoff(ms(200), 7, ms(51_200)), ms(25_600));
+        assert_eq!(rto_backoff(ms(200), 8, ms(51_200)), ms(51_200));
+        // rto == rto_max never doubles.
+        assert_eq!(rto_backoff(ms(3000), 0, ms(3000)), ms(3000));
+        assert_eq!(rto_backoff(ms(3000), 1, ms(3000)), ms(3000));
+        // Absurd ratios neither overflow nor lose the 32-doubling guard.
+        let max = SimDuration::from_micros(u64::MAX);
+        let one = SimDuration::from_micros(1);
+        assert_eq!(rto_backoff(one, 40, max), SimDuration::from_micros(1 << 32));
+        assert_eq!(rto_backoff(max, 40, max), max);
     }
 
     #[test]

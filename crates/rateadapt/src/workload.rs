@@ -18,9 +18,16 @@
 //! window-based sender with acks, RTT estimation and a pluggable
 //! congestion controller from the `hint-cc` registry, built so the
 //! bottleneck can sit on an AP's wired backhaul (see
-//! [`crate::sim::LinkSimulator::with_backhaul`]) instead of the air. The
-//! open-loop [`Workload::Tcp`] model is kept byte-identical as the
-//! legacy compatibility path.
+//! [`crate::sim::LinkSimulator::with_backhaul`]) instead of the air.
+//!
+//! The open-loop [`Workload::Tcp`] model stays beside the flow because it
+//! is what reproduces the paper's TCP figures: its RTO stalls on bursty
+//! link loss are what separate the protocols. With a Reno flow standing
+//! in for it, Fig. 3-5's HintAware loses to RRAA in all three
+//! environments (normalised goodput office 1.000 vs 1.042, hallway 1.000
+//! vs 1.013, outdoor 1.000 vs 1.073), and Fig. 3-6's hallway ranking
+//! inverts (SampleRate 1.041 vs RapidSample 1.000); with the open-loop
+//! model HintAware beats RRAA everywhere (office 1.000 vs 0.876).
 
 use crate::trace::PacketTrace;
 use hint_cc::CcaSpec;
@@ -36,12 +43,8 @@ use std::path::Path;
 /// backoff: after `d >= 3` consecutive segment drops the sender idles
 /// for `min(rto * 2^(d - 3), rto_max)`. The doubling therefore runs
 /// `rto, 2·rto, 4·rto, …` and **saturates exactly when it reaches
-/// `rto_max`**: the shift is clamped at the smallest exponent `s` with
-/// `rto * 2^s >= rto_max` (see [`TcpConfig::backoff_shift_cap`]), so the
-/// whole curve — including how many doublings it takes to hit the
-/// ceiling — is derived from the configured `rto`/`rto_max` pair. (An
-/// earlier revision hard-coded the clamp at 16×, which silently
-/// truncated the curve for any `rto_max > 16·rto`.)
+/// `rto_max`**, so how many doublings it takes to hit the ceiling
+/// follows from the configured `rto`/`rto_max` pair alone.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct TcpConfig {
     /// Round-trip time budget per congestion window (LAN-scale).
@@ -110,23 +113,6 @@ impl TcpConfig {
             ));
         }
         Ok(())
-    }
-
-    /// The largest RTO-backoff exponent the doubling can reach before
-    /// the `rto_max` clamp takes over: the smallest `s` with
-    /// `rto * 2^s >= rto_max` (capped at 32 doublings as an arithmetic
-    /// guard; a real config saturates long before that). Deriving the
-    /// shift cap from the configured pair — instead of a hard-coded
-    /// constant — is what keeps the backoff curve faithful for
-    /// `rto_max > 16·rto` (see the type-level docs).
-    pub fn backoff_shift_cap(&self) -> u32 {
-        let base = self.rto.as_micros().max(1);
-        let max = self.rto_max.as_micros();
-        let mut s = 0u32;
-        while s < 32 && base.saturating_mul(1u64 << s) < max {
-            s += 1;
-        }
-        s
     }
 }
 
@@ -420,35 +406,6 @@ mod tests {
         let mut udp = Workload::Udp;
         udp.rebase(base);
         assert_eq!(udp, Workload::Udp);
-    }
-
-    #[test]
-    fn backoff_shift_cap_tracks_rto_max() {
-        // Defaults: 3 s / 200 ms = 15x, reached at the 4th doubling
-        // (16x) — exactly the clamp the old hard-coded constant baked in.
-        assert_eq!(TcpConfig::default().backoff_shift_cap(), 4);
-        // A taller ceiling needs more doublings: 200 ms -> 51.2 s is
-        // 2^8 = 256x past 51.2/0.2 = 256.
-        let tall = TcpConfig {
-            rto_max: SimDuration::from_micros(51_200_000),
-            ..TcpConfig::default()
-        };
-        assert_eq!(tall.backoff_shift_cap(), 8);
-        // The old constant silently truncated this curve at 16x.
-        assert!(tall.backoff_shift_cap() > 4);
-        // rto == rto_max: no doubling at all.
-        let flat = TcpConfig {
-            rto: SimDuration::from_secs(3),
-            ..TcpConfig::default()
-        };
-        assert_eq!(flat.backoff_shift_cap(), 0);
-        // Arithmetic guard holds for absurd ratios.
-        let absurd = TcpConfig {
-            rto: SimDuration::from_micros(1),
-            rto_max: SimDuration::from_micros(u64::MAX),
-            ..TcpConfig::default()
-        };
-        assert!(absurd.backoff_shift_cap() <= 32);
     }
 
     #[test]

@@ -103,11 +103,6 @@ impl Gps {
         }
     }
 
-    /// The ground-truth position at the last integration point (test aid).
-    pub fn true_position(&self) -> Position {
-        self.true_pos
-    }
-
     /// Take a fix at time `t`. Returns `None` indoors (no lock).
     ///
     /// Fixes should be requested in non-decreasing time order; requests

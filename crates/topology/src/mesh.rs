@@ -13,7 +13,7 @@
 //! over the link with the best current ETX estimate. An oracle that knows
 //! the true windowed delivery probabilities provides the lower bound.
 
-use crate::adaptive::{AdaptiveConfig, AdaptiveProber, ProbingMode};
+use crate::adaptive::{AdaptiveConfig, AdaptiveProber};
 use crate::delivery::{actual_at, actual_series, DeliverySample, WINDOW_PROBES};
 use crate::probes::ProbeStream;
 use hint_channel::{Environment, Trace};
@@ -151,14 +151,6 @@ pub fn run_mesh(
         wrong_pick_fraction: wrong as f64 / decisions.max(1) as f64,
         mean_etx_penalty: penalty_sum / decisions.max(1) as f64,
         probes_sent: links.iter().map(|l| l.probes_sent).sum(),
-    }
-}
-
-/// The hint-adaptive prober's mode, exposed for diagnostics.
-pub fn adaptive_mode_name(mode: ProbingMode) -> &'static str {
-    match mode {
-        ProbingMode::Slow => "slow",
-        ProbingMode::Fast => "fast",
     }
 }
 
