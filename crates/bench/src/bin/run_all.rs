@@ -1,7 +1,8 @@
 //! Runs the experiment battery: every table and figure, or — with
 //! `--smoke` — a minimal slice through each subsystem so CI can prove the
-//! figure-regeneration binaries still run without paying for the full
-//! battery.
+//! experiments still run without paying for the full battery. This is
+//! the one entry point for every experiment: `--filter fig_3_5` runs a
+//! single figure.
 //!
 //! Flags (composable):
 //!

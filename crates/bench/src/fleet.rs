@@ -92,14 +92,29 @@ pub fn configurations() -> Vec<(&'static str, FleetSpec)> {
     ]
 }
 
-/// Per-configuration summary, in [`configurations`] order.
+/// Fleet outcomes keyed by configuration label, in configuration order:
+/// the result of every multi-configuration fleet experiment in the
+/// battery (`fig_fleet`, `fig_contention`, `fig_resilience`,
+/// `fig_backhaul`).
 #[derive(Clone, Debug)]
-pub struct FleetComparison {
-    /// Outcomes keyed by configuration label.
+pub struct LabelledOutcomes {
+    /// `(label, outcome)` per configuration.
     pub outcomes: Vec<(&'static str, FleetOutcome)>,
 }
 
-impl FleetComparison {
+impl LabelledOutcomes {
+    /// Compile and run each `(label, spec)` configuration, in order.
+    pub fn run(configs: impl IntoIterator<Item = (&'static str, FleetSpec)>) -> Self {
+        let outcomes = configs
+            .into_iter()
+            .map(|(label, spec)| {
+                let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
+                (label, fleet.run())
+            })
+            .collect();
+        LabelledOutcomes { outcomes }
+    }
+
     /// The outcome for a configuration label.
     pub fn get(&self, label: &str) -> &FleetOutcome {
         &self
@@ -111,31 +126,22 @@ impl FleetComparison {
     }
 }
 
-/// Run the comparison and print it.
-pub fn run() -> FleetComparison {
-    let (r, res) = report();
-    r.print();
-    res
+/// Total ghost (wasted) airtime across a fleet's APs, seconds.
+pub fn ghost_airtime_s(o: &FleetOutcome) -> f64 {
+    o.aps.iter().map(|a| a.wasted_airtime_s).sum()
 }
 
 /// Run the comparison, returning its output as a [`Report`] plus the
 /// outcomes (the job-runner entry point).
-pub fn report() -> (Report, FleetComparison) {
+pub fn report() -> (Report, LabelledOutcomes) {
     let mut r = Report::new("fig_fleet");
     r.header("Fleet: 4 clients x 2 APs, hint-aware association/handoff (Sec. 5.2)");
 
-    let outcomes: Vec<(&'static str, FleetOutcome)> = configurations()
-        .into_iter()
-        .map(|(label, spec)| {
-            let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
-            (label, fleet.run())
-        })
-        .collect();
-
-    let rows: Vec<Vec<String>> = outcomes
+    let res = LabelledOutcomes::run(configurations());
+    let rows: Vec<Vec<String>> = res
+        .outcomes
         .iter()
         .map(|(label, o)| {
-            let ghost: f64 = o.aps.iter().map(|a| a.wasted_airtime_s).sum();
             vec![
                 (*label).to_string(),
                 format!("{:.2}", o.aggregate_goodput_mbps),
@@ -143,7 +149,7 @@ pub fn report() -> (Report, FleetComparison) {
                 format!("{}", o.total_handoffs),
                 format!("{}", o.forced_handoffs),
                 format!("{:.2}", o.total_outage().as_secs_f64()),
-                format!("{ghost:.2}"),
+                format!("{:.2}", ghost_airtime_s(o)),
             ]
         })
         .collect();
@@ -161,22 +167,16 @@ pub fn report() -> (Report, FleetComparison) {
     );
 
     r.blank();
-    let hint = outcomes
-        .iter()
-        .find(|(l, _)| *l == "hint-aware")
-        .map(|(_, o)| o);
-    if let Some(o) = hint {
-        for c in &o.clients {
-            let path: Vec<String> = c.aps_visited.iter().map(|a| format!("AP{a}")).collect();
-            rline!(
-                r,
-                "hint-aware client {}: {:>6.2} Mbit/s, {} handoffs, path {}",
-                c.client,
-                c.outcome.goodput_mbps(),
-                c.handoffs,
-                path.join(" -> ")
-            );
-        }
+    for c in &res.get("hint-aware").clients {
+        let path: Vec<String> = c.aps_visited.iter().map(|a| format!("AP{a}")).collect();
+        rline!(
+            r,
+            "hint-aware client {}: {:>6.2} Mbit/s, {} handoffs, path {}",
+            c.client,
+            c.outcome.goodput_mbps(),
+            c.handoffs,
+            path.join(" -> ")
+        );
     }
     rline!(
         r,
@@ -187,7 +187,6 @@ pub fn report() -> (Report, FleetComparison) {
         "aggregate goodput orders legacy < signal+hints <= hint policies."
     );
 
-    let res = FleetComparison { outcomes };
     (r, res)
 }
 
@@ -226,12 +225,11 @@ mod tests {
         // The Fig. 5-1 effect at fleet scale: silent departures cost the
         // APs ~10 s of ghost airtime each; hinting clients get
         // quarantined for a few probe frames instead.
-        let ghost = |o: &hint_rateadapt::fleet::FleetOutcome| -> f64 {
-            o.aps.iter().map(|a| a.wasted_airtime_s).sum()
-        };
-        assert!(ghost(legacy) > 10.0, "legacy ghost {}", ghost(legacy));
-        assert!(ghost(signal) < 1.0, "hinting ghost {}", ghost(signal));
-        assert_eq!(ghost(hint), 0.0);
+        let legacy_ghost = ghost_airtime_s(legacy);
+        let signal_ghost = ghost_airtime_s(signal);
+        assert!(legacy_ghost > 10.0, "legacy ghost {legacy_ghost}");
+        assert!(signal_ghost < 1.0, "hinting ghost {signal_ghost}");
+        assert_eq!(ghost_airtime_s(hint), 0.0);
 
         // Hints help throughput end to end.
         assert!(

@@ -2,12 +2,12 @@
 //!
 //! One module per table/figure of the paper's evaluation, each exposing a
 //! `report()` that regenerates the result and returns the same rows/series
-//! the paper reports as a buffered [`report::Report`], plus a `run()` that
-//! prints it (see DESIGN.md §4 for the experiment index and EXPERIMENTS.md
-//! for paper-vs-measured values). The `src/bin/` wrappers make each
-//! experiment a standalone binary; `run_all` executes the whole battery
-//! through the [`runner`] job engine (`--jobs N --filter <substr>`),
-//! whose parallel output is byte-identical to a serial run.
+//! the paper reports as a buffered [`report::Report`] (see EXPERIMENTS.md
+//! for the experiment index and paper-vs-measured values). The `run_all`
+//! binary is the one way to run them: it executes the battery through the
+//! [`runner`] job engine (`--jobs N --filter <substr>`, e.g.
+//! `run_all --filter fig_3_5` for one figure), whose parallel output is
+//! byte-identical to a serial run.
 //!
 //! Shape, not absolute numbers: the substrate is a synthetic channel, not
 //! the authors' testbed, so each experiment checks *who wins, by roughly

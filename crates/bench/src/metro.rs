@@ -93,13 +93,6 @@ pub struct MetroSummary {
     pub outcome: FleetOutcome,
 }
 
-/// Run the metro fleet and print the summary.
-pub fn run() -> MetroSummary {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
 /// Run the metro fleet, returning its output as a [`Report`] plus the
 /// outcome (the job-runner entry point).
 pub fn report() -> (Report, MetroSummary) {

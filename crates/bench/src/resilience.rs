@@ -30,15 +30,15 @@
 //! `shape_holds` test pins that hinted fallback degrades no worse than
 //! naive hint-trusting.
 
+use crate::fleet::LabelledOutcomes;
 use crate::report::Report;
 use crate::rline;
 use hint_rateadapt::fleet::{
-    ApOutage, FaultSpec, FleetOutcome, FleetSpec, HintDropout, MediumSpec, RadioBlackout,
+    ApOutage, FaultSpec, FleetSpec, HintDropout, MediumSpec, RadioBlackout,
 };
 use hint_rateadapt::scenario::{HintSpec, MotionSpec};
 use hint_rateadapt::Workload;
 use hint_sim::SimDuration;
-use sensor_hints::fleet::FleetScenario;
 
 /// Clients in the resilience fleet (7 per AP anchor).
 pub const RESILIENCE_CLIENTS: usize = 56;
@@ -202,52 +202,13 @@ pub fn configurations(duration: SimDuration) -> [(&'static str, FleetSpec); 4] {
     ]
 }
 
-/// The outcomes, in `configurations` order.
-#[derive(Clone, Debug)]
-pub struct ResilienceSummary {
-    /// `(label, outcome)` per configuration.
-    pub outcomes: Vec<(&'static str, FleetOutcome)>,
-}
-
-impl ResilienceSummary {
-    /// The outcome for a configuration label.
-    pub fn get(&self, label: &str) -> &FleetOutcome {
-        &self
-            .outcomes
-            .iter()
-            .find(|(l, _)| *l == label)
-            .expect("known configuration label")
-            .1
-    }
-}
-
-/// Total client outage across the fleet, seconds.
-pub fn total_outage_s(o: &FleetOutcome) -> f64 {
-    o.clients.iter().map(|c| c.outage.as_secs_f64()).sum()
-}
-
-/// Run the comparison and print it.
-pub fn run() -> ResilienceSummary {
-    let (r, res) = report();
-    r.print();
-    res
-}
-
 /// Run the comparison, returning its output as a [`Report`] plus the
 /// outcomes (the job-runner entry point).
-pub fn report() -> (Report, ResilienceSummary) {
+pub fn report() -> (Report, LabelledOutcomes) {
     let mut r = Report::new("fig_resilience");
     r.header("Fault injection: 56 clients x 8 APs, 3 AP outages + hint dropouts + blackouts");
 
-    let outcomes: Vec<(&'static str, FleetOutcome)> = configurations(RESILIENCE_DURATION)
-        .into_iter()
-        .map(|(label, spec)| {
-            let fleet = FleetScenario::compile(&spec).expect("battery fleet specs are valid");
-            (label, fleet.run())
-        })
-        .collect();
-    let summary = ResilienceSummary { outcomes };
-
+    let summary = LabelledOutcomes::run(configurations(RESILIENCE_DURATION));
     let rows: Vec<Vec<String>> = summary
         .outcomes
         .iter()
@@ -258,7 +219,7 @@ pub fn report() -> (Report, ResilienceSummary) {
                 format!("{:.3}", o.jain_fairness),
                 format!("{}", o.forced_handoffs),
                 format!("{}", o.aps.iter().map(|a| a.evictions).sum::<u32>()),
-                format!("{:.1}", total_outage_s(o)),
+                format!("{:.1}", o.total_outage().as_secs_f64()),
                 format!("{:.1}", o.clients.iter().map(|c| c.fallback_s).sum::<f64>()),
                 format!("{}", o.clients.iter().map(|c| c.scan_retries).sum::<u32>()),
             ]
@@ -303,6 +264,7 @@ pub fn report() -> (Report, ResilienceSummary) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sensor_hints::fleet::FleetScenario;
 
     #[test]
     fn resilience_spec_shape() {
@@ -361,14 +323,16 @@ mod tests {
         // to failing links, costing forced handoffs and outage.
         let naive = s.get("hint-aware, naive");
         let fb = s.get("hint-aware + fallback");
+        let (fb_outage, naive_outage) = (
+            fb.total_outage().as_secs_f64(),
+            naive.total_outage().as_secs_f64(),
+        );
         assert!(
-            (fb.forced_handoffs, total_outage_s(fb).round() as u64)
-                <= (naive.forced_handoffs, total_outage_s(naive).round() as u64),
-            "fallback (forced {}, outage {:.1}) worse than naive (forced {}, outage {:.1})",
+            (fb.forced_handoffs, fb_outage.round() as u64)
+                <= (naive.forced_handoffs, naive_outage.round() as u64),
+            "fallback (forced {}, outage {fb_outage:.1}) worse than naive (forced {}, outage {naive_outage:.1})",
             fb.forced_handoffs,
-            total_outage_s(fb),
             naive.forced_handoffs,
-            total_outage_s(naive)
         );
     }
 }

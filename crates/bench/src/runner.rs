@@ -2,14 +2,15 @@
 //!
 //! Every table/figure module exposes a `report()` that runs the experiment
 //! and returns its output as a [`Report`]; this module packages those into
-//! named [`Job`]s, executes them on a scoped thread pool (`--jobs N`), and
-//! returns the results **in battery order**. Each job seeds its own RNG
-//! streams internally, so experiments are independent of scheduling and
-//! the concatenated parallel output is byte-identical to a serial run —
-//! asserted by `tests/parallel_determinism.rs`.
+//! named [`Job`]s, executes them on `hint-sim`'s scoped worker pool
+//! ([`hint_sim::pool::run`], `--jobs N`), and returns the results **in
+//! battery order**. Each job seeds its own RNG streams internally, so
+//! experiments are independent of scheduling and the concatenated
+//! parallel output is byte-identical to a serial run — asserted by
+//! `tests/parallel_determinism.rs`.
 //!
-//! No external dependencies: the pool is `std::thread::scope` workers
-//! pulling job indices from one atomic counter.
+//! The battery is the only way to run an experiment: one figure is
+//! `run_all --filter fig_3_5`, all ablations `run_all --filter ablation`.
 
 use crate::report::Report;
 use crate::table_5_1;
@@ -20,8 +21,7 @@ use crate::{
     fig_4_2_4_3, fig_4_4_4_5, fig_4_6, fig_5_1, fleet, metro, resilience, route_stability,
     trace_replay,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// One experiment's finished output plus its wall-clock cost.
@@ -316,51 +316,36 @@ pub fn run_jobs_with(
 ) -> Vec<ExperimentReport> {
     assert!(n_jobs >= 1, "n_jobs must be >= 1");
     let n = jobs.len();
-    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<Job>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let (tx, rx) = mpsc::channel::<(usize, ExperimentReport)>();
-
     let mut results: Vec<Option<ExperimentReport>> = (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..n_jobs.min(n.max(1)) {
-            let tx = tx.clone();
-            let (next, slots) = (&next, &slots);
-            scope.spawn(move || loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = slots[i]
-                    .lock()
-                    .expect("job slot lock")
-                    .take()
-                    .expect("job taken once");
-                let start = Instant::now();
-                let report = (job.run)();
-                let sent = tx.send((
-                    i,
-                    ExperimentReport {
-                        name: job.name.to_string(),
-                        text: report.into_text(),
-                        wall: start.elapsed(),
-                    },
-                ));
-                sent.expect("collector outlives workers");
-            });
-        }
-        drop(tx);
-
-        // Collector (this thread): stream the completed prefix in battery
-        // order while later jobs are still running.
-        let mut flushed = 0usize;
-        for (i, report) in rx {
+    let mut flushed = 0usize;
+    hint_sim::pool::run(
+        n,
+        n_jobs,
+        |i| {
+            let job = slots[i]
+                .lock()
+                .expect("job slot lock")
+                .take()
+                .expect("job taken once");
+            let start = Instant::now();
+            let report = (job.run)();
+            ExperimentReport {
+                name: job.name.to_string(),
+                text: report.into_text(),
+                wall: start.elapsed(),
+            }
+        },
+        // Stream the completed prefix in battery order while later jobs
+        // are still running.
+        |i, report| {
             results[i] = Some(report);
             while let Some(Some(ready)) = results.get(flushed) {
                 on_report(ready);
                 flushed += 1;
             }
-        }
-    });
+        },
+    );
 
     results
         .into_iter()
@@ -469,6 +454,43 @@ mod tests {
             ["fig_3_1", "fig_3_5", "fig_3_6", "fig_3_7", "fig_3_8"]
         );
         assert_eq!(select_jobs(full_battery(), None).unwrap().len(), 27);
+    }
+
+    #[test]
+    fn every_job_name_filters_to_exactly_itself() {
+        let names: Vec<&str> = full_battery().iter().map(|j| j.name()).collect();
+        for name in names {
+            let selected: Vec<&str> = select_jobs(full_battery(), Some(name))
+                .expect("a job name matches itself")
+                .iter()
+                .map(|j| j.name())
+                .collect();
+            assert_eq!(selected, [name]);
+        }
+        let group = |filter: &str| -> Vec<&'static str> {
+            select_jobs(full_battery(), Some(filter))
+                .expect("group filter matches")
+                .iter()
+                .map(|j| j.name())
+                .collect()
+        };
+        assert_eq!(
+            group("ablation"),
+            [
+                "ablation_delta_success",
+                "ablation_hint_latency",
+                "ablation_prober_hold_down"
+            ]
+        );
+        assert_eq!(
+            group("ext_"),
+            [
+                "ext_phy_cyclic_prefix",
+                "ext_phy_frame_cap",
+                "ext_power_saving",
+                "ext_microphone_dynamism"
+            ]
+        );
     }
 
     #[test]

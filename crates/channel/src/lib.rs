@@ -23,10 +23,10 @@
 //! * [`analysis`] — conditional-loss-vs-lag statistics (Fig. 3-1) and
 //!   related channel diagnostics.
 //!
-//! What makes the substitution faithful (DESIGN.md §2): the two statistics
-//! the paper's protocols are sensitive to — coherence time and bursty
-//! conditional loss — are explicit model inputs, validated by tests in
-//! [`analysis`].
+//! What makes the substitution faithful (measured by the `fig_3_1` row of
+//! EXPERIMENTS.md's battery index): the two statistics the paper's
+//! protocols are sensitive to — coherence time and bursty conditional
+//! loss — are explicit model inputs, validated by tests in [`analysis`].
 
 pub mod analysis;
 pub mod delivery;

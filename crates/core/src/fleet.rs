@@ -46,7 +46,8 @@
 //!   scan, property-tested in `hint-topology`).
 //! * **Span arena + sharding** — Phase B flattens every association
 //!   span into one task arena and [`FleetScenario::run_with_jobs`]
-//!   shards it across a scoped worker pool. Each span's simulation is a
+//!   shards it across `hint-sim`'s scoped worker pool
+//!   ([`hint_sim::pool::run`]). Each span's simulation is a
 //!   pure function of the spec seed, and the per-client merge is a sum
 //!   of integer counters (goodput is computed from the totals
 //!   afterwards), so results can be folded in completion order: the
@@ -68,7 +69,7 @@ use hint_rateadapt::fleet::{
     FleetSpec, HandoffPolicy, STALE_HINT_HOLD,
 };
 use hint_rateadapt::protocols::registry::{AdapterFactory, ProtocolRegistry};
-use hint_rateadapt::scenario::{HintSpec, ScenarioError, ScenarioOutcome, HINT_SEED_MASK};
+use hint_rateadapt::scenario::{HintSpec, ScenarioError, ScenarioOutcome};
 use hint_rateadapt::{HintStream, LinkSimulator, SimResult, TraceSource, Workload};
 use hint_sensors::gps::Position;
 use hint_sensors::motion::{MotionProfile, MotionSegment};
@@ -76,8 +77,6 @@ use hint_sim::{EventQueue, RngStream, SimDuration, SimTime};
 use hint_topology::spatial::{Disk, DiskIndex};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
 
 /// Assumed receiver noise floor, dBm: scan-time RSSI is the link's mean
 /// SNR re-referenced to it.
@@ -228,9 +227,11 @@ struct ResolvedFaults {
     /// Whether hint policies fall back to RSSI once a dropout goes
     /// stale (`false` is the naive hint-trusting ablation).
     hint_fallback: bool,
-    /// Whether any window exists at all. `false` takes the exact
-    /// pre-fault code paths, so a fault-free `FaultSpec` run is
-    /// byte-identical to a run with no `FaultSpec` present.
+    /// Whether any window exists at all. Gates only the dark-client scan
+    /// backoff: every other fault path is a no-op on an empty schedule,
+    /// but a fault-free client out of coverage must keep the fixed scan
+    /// cadence, so a fault-free `FaultSpec` run is byte-identical to a
+    /// run with no `FaultSpec` present.
     active: bool,
 }
 
@@ -553,24 +554,12 @@ impl FleetScenario {
             );
             let seed = root.derive_idx("fleet-client", i as u64).seed();
             let profile = client.motion.profile(spec.duration);
-            let stream = match &spec.hints {
-                HintSpec::None => None,
-                HintSpec::Oracle { latency } => {
-                    Some(HintStream::oracle(&profile, spec.duration, *latency))
-                }
-                HintSpec::Sensors { seed: explicit } => {
-                    // Per-client accelerometer noise: the fleet-level
-                    // explicit seed (if any) is mixed per client so two
-                    // clients never share a noise stream.
-                    let hint_seed = match explicit {
-                        Some(s) => RngStream::new(*s)
-                            .derive_idx("fleet-hints", i as u64)
-                            .seed(),
-                        None => seed ^ HINT_SEED_MASK,
-                    };
-                    Some(HintStream::from_sensors(&profile, spec.duration, hint_seed))
-                }
-            };
+            // Per-client accelerometer noise: the fleet-level explicit
+            // seed (if any) is mixed per client so two clients never
+            // share a noise stream.
+            let stream = spec.hints.stream(&profile, spec.duration, seed, |s| {
+                RngStream::new(s).derive_idx("fleet-hints", i as u64).seed()
+            });
             paths.push(ClientPath::new(
                 Position {
                     x: client.start_x_m,
@@ -645,7 +634,7 @@ impl FleetScenario {
         self.index.covering_into(pos.x, pos.y, ids);
         out.clear();
         out.extend(ids.iter().filter_map(|&id| {
-            if self.faults.active && self.faults.ap_down(id, now) {
+            if self.faults.ap_down(id, now) {
                 return None;
             }
             let ap = &self.spec.aps[id];
@@ -739,27 +728,24 @@ impl FleetScenario {
             .exchange_airtime(BitRate::R6, self.spec.payload_bytes)
             .as_secs_f64();
 
-        let has_faults = self.faults.active;
         let mut queue: EventQueue<FleetEvent> = EventQueue::new();
         for c in 0..n_clients {
             queue.schedule(SimTime::ZERO, FleetEvent::Scan(c));
         }
-        if has_faults {
-            // Window *starts* become events (evictions and radio deaths
-            // must interrupt associations mid-span); recoveries matter
-            // only to the affected client's own scan chain. Every window
-            // start precedes the run end by validation + clipping.
-            for (a, wins) in self.faults.ap_down.iter().enumerate() {
-                for &(s, _) in wins {
-                    queue.schedule(s, FleetEvent::ApDown(a));
-                }
+        // Window *starts* become events (evictions and radio deaths must
+        // interrupt associations mid-span); recoveries matter only to the
+        // affected client's own scan chain. Every window start precedes
+        // the run end by validation + clipping.
+        for (a, wins) in self.faults.ap_down.iter().enumerate() {
+            for &(s, _) in wins {
+                queue.schedule(s, FleetEvent::ApDown(a));
             }
-            for (c, wins) in self.faults.blackout.iter().enumerate() {
-                for &(s, e) in wins {
-                    queue.schedule(s, FleetEvent::BlackoutStart(c));
-                    if e < end {
-                        queue.schedule(e, FleetEvent::BlackoutEnd(c));
-                    }
+        }
+        for (c, wins) in self.faults.blackout.iter().enumerate() {
+            for &(s, e) in wins {
+                queue.schedule(s, FleetEvent::BlackoutStart(c));
+                if e < end {
+                    queue.schedule(e, FleetEvent::BlackoutEnd(c));
                 }
             }
         }
@@ -823,12 +809,10 @@ impl FleetScenario {
                     continue;
                 }
             };
-            if has_faults {
-                // Drop stale scan-chain events (fault handling moved the
-                // chain) and scans that land inside a radio blackout.
-                if now != runs[c].next_scan || self.faults.blacked_out(c, now) {
-                    continue;
-                }
+            // Drop stale scan-chain events (fault handling moved the
+            // chain) and scans that land inside a radio blackout.
+            if now != runs[c].next_scan || self.faults.blacked_out(c, now) {
+                continue;
             }
             let was_dark = runs[c].current.is_none();
             let pos = self.paths[c].position_at(now);
@@ -838,11 +822,7 @@ impl FleetScenario {
             // stale hold is down — the client stops claiming hints and
             // (the graceful-degradation headline) hint-aware policies
             // fall back to legacy RSSI scoring until it recovers.
-            let health = if has_faults {
-                self.faults.hint_health(c, now)
-            } else {
-                HintHealth::Fresh
-            };
+            let health = self.faults.hint_health(c, now);
             let (moving, hints_down) = match (&self.hints[c], &health) {
                 (None, _) => (false, false),
                 (Some(h), HintHealth::Fresh) => (h.query(now), false),
@@ -933,7 +913,7 @@ impl FleetScenario {
             // cadence (byte-identical to the pre-fault engine);
             // fault-injected runs back off exponentially while a client
             // stays dark, up to the capped retry interval.
-            let interval = if has_faults {
+            let interval = if self.faults.active {
                 let run = &mut runs[c];
                 if run.current.is_none() {
                     if was_dark {
@@ -981,7 +961,7 @@ impl FleetScenario {
     /// results stream into per-client running sums whose merge is
     /// commutative integer addition, which makes the outcome
     /// **byte-identical for every `jobs` value**; `jobs == 1` (what
-    /// [`FleetScenario::run`] uses) takes a pool-free serial path.
+    /// [`FleetScenario::run`] uses) runs inline on the calling thread.
     ///
     /// # Panics
     ///
@@ -1128,45 +1108,19 @@ impl FleetScenario {
             .collect();
         let mut delivered_bits = vec![0u64; n_clients];
 
-        let workers = jobs.min(tasks.len().max(1));
-        if workers <= 1 {
-            for task in &tasks {
-                let result = self.simulate_span(task, &epoch_shares);
+        // The fold is a sum of integers into disjoint per-client slots, so
+        // arrival order — and therefore thread count — cannot change a
+        // single byte of the outcome.
+        hint_sim::pool::run(
+            tasks.len(),
+            jobs,
+            |i| self.simulate_span(&tasks[i], &epoch_shares),
+            |i, result| {
+                let task = &tasks[i];
                 let c = task.client;
                 merge_span(&mut merged[c], &mut delivered_bits[c], task.from, &result);
-            }
-        } else {
-            // The runner-pool idiom: an atomic cursor hands out arena
-            // indices, finished results stream back over a channel, and
-            // the collector folds them as they land. The fold is a sum of
-            // integers into disjoint per-client slots, so arrival order —
-            // and therefore thread count — cannot change a single byte of
-            // the outcome.
-            let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, SimResult)>();
-            std::thread::scope(|scope| {
-                for _ in 0..workers {
-                    let tx = tx.clone();
-                    let (next, tasks, shares) = (&next, &tasks, &epoch_shares);
-                    scope.spawn(move || loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= tasks.len() {
-                            break;
-                        }
-                        let result = self.simulate_span(&tasks[i], shares);
-                        if tx.send((i, result)).is_err() {
-                            break;
-                        }
-                    });
-                }
-                drop(tx);
-                for (i, result) in rx {
-                    let task = &tasks[i];
-                    let c = task.client;
-                    merge_span(&mut merged[c], &mut delivered_bits[c], task.from, &result);
-                }
-            });
-        }
+            },
+        );
 
         let mut client_outcomes = Vec::with_capacity(n_clients);
         for ((c, run), mut merged) in runs.iter().enumerate().zip(merged) {
@@ -1761,6 +1715,42 @@ mod tests {
             let back = FleetOutcome::from_json(&out.to_json_pretty()).expect("parses");
             assert_eq!(back, out);
         }
+    }
+
+    #[test]
+    fn fault_free_dark_client_keeps_the_fixed_scan_cadence() {
+        // A client that starts out of coverage and walks in at t = 37.5 s.
+        // Without faults it rescans every scan interval, so it joins on
+        // the first scan after entering; the fault-storm backoff would
+        // have stretched its rescans to 32 s and kept it dark all run.
+        let spec = FleetSpec::builder()
+            .bounds(200.0, 100.0)
+            .ap(40.0, 50.0, 50.0)
+            .client(
+                150.0,
+                50.0,
+                MotionSpec::Walking {
+                    speed_mps: 1.6,
+                    heading_deg: 270.0,
+                },
+                Workload::Udp,
+            )
+            .duration(SimDuration::from_secs(60))
+            .seed(11)
+            .handoff_policy("strongest-signal")
+            .into_spec();
+        let out = FleetScenario::compile(&spec).expect("valid").run();
+        let walker = &out.clients[0];
+        assert_eq!(walker.aps_visited, [0]);
+        assert_eq!(walker.scan_retries, 0);
+        let joined_by = SimDuration::from_millis(37_500)
+            + spec.handoff.scan_interval
+            + spec.handoff.reassociation_cost;
+        assert!(
+            walker.outage <= joined_by,
+            "dark for {:?}, expected at most {joined_by:?}",
+            walker.outage
+        );
     }
 
     #[test]

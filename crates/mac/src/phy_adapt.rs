@@ -15,8 +15,8 @@
 //!    channel estimation mid-packet, or reduce the maximum frame size it
 //!    sends."
 //!
-//! The models here quantify both trade-offs so the `phy_adaptation`
-//! experiment binary can sweep them.
+//! The models here quantify both trade-offs so the `ext_phy_*` battery
+//! experiments can sweep them.
 
 use crate::rates::BitRate;
 use crate::timing::MacTiming;

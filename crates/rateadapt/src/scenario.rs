@@ -257,18 +257,23 @@ pub enum HintSpec {
 }
 
 impl HintSpec {
-    /// Materialise the hint stream for a compiled scenario.
-    fn stream(
+    /// Materialise the hint stream for one client's motion `profile`.
+    /// Without an explicit sensor seed the noise seed is
+    /// `link_seed ^ HINT_SEED_MASK`; an explicit one goes through
+    /// `explicit_seed` first (the identity for a single link; the fleet
+    /// mixes it per client so two clients never share a noise stream).
+    pub fn stream(
         &self,
         profile: &MotionProfile,
         duration: SimDuration,
-        scenario_seed: u64,
+        link_seed: u64,
+        explicit_seed: impl FnOnce(u64) -> u64,
     ) -> Option<HintStream> {
         match self {
             HintSpec::None => None,
             HintSpec::Oracle { latency } => Some(HintStream::oracle(profile, duration, *latency)),
             HintSpec::Sensors { seed } => {
-                let seed = seed.unwrap_or(scenario_seed ^ HINT_SEED_MASK);
+                let seed = seed.map_or(link_seed ^ HINT_SEED_MASK, explicit_seed);
                 Some(HintStream::from_sensors(profile, duration, seed))
             }
         }
@@ -393,7 +398,7 @@ impl ScenarioSpec {
             .map_err(ScenarioError::BadWorkload)?;
         let trace = Trace::generate(&environment, &profile, self.duration, self.seed);
         let mut sim = LinkSimulator::from_trace(trace).with_payload(self.payload_bytes);
-        if let Some(hints) = self.hints.stream(&profile, self.duration, self.seed) {
+        if let Some(hints) = self.hints.stream(&profile, self.duration, self.seed, |s| s) {
             sim = sim.with_owned_hints(hints);
         }
         if let Some(backhaul) = self.backhaul {

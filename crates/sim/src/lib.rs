@@ -15,12 +15,16 @@
 //!   simultaneous events.
 //! * [`series`] — time-series bucketing used to regenerate the paper's
 //!   time-axis figures (Figs. 4-1, 4-4..4-6, 5-1).
+//! * [`pool`] — the one scoped worker pool, shared by the experiment
+//!   battery and the fleet engine's span arena.
 //!
-//! The whole reproduction is **synchronous and single-threaded by design**:
-//! the paper's methodology is trace-driven simulation, where determinism and
-//! replayability matter far more than wall-clock parallelism.
+//! Every simulation is **synchronous and single-threaded by design**: the
+//! paper's methodology is trace-driven simulation, where determinism and
+//! replayability matter far more than wall-clock parallelism. Parallelism
+//! lives only between independent simulations, through [`pool::run`].
 
 pub mod events;
+pub mod pool;
 pub mod rng;
 pub mod series;
 pub mod stats;

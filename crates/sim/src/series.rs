@@ -98,7 +98,7 @@ impl TimeSeries {
 }
 
 /// Render a sequence of `(x, y)` pairs as a compact ASCII sparkline-style
-/// table row — used by the experiment binaries to make figures readable in
+/// table row — used by the experiment battery to make figures readable in
 /// a terminal without a plotting stack.
 pub fn ascii_plot(points: &[(f64, f64)], width: usize, label: &str) -> String {
     if points.is_empty() {

@@ -35,7 +35,8 @@ pub fn etx(p: f64) -> f64 {
 /// overhead of "5/12 = 42%". `5/12` is the *penalty* `1/p₂ − 1/p₁` (extra
 /// transmissions per packet), while the overhead formula the paper states,
 /// `p₁/p₂ − 1`, evaluates to `1/3 ≈ 33%`. Both values are exposed here;
-/// the Sec. 4.2 experiment binary reports both and notes the discrepancy.
+/// the Sec. 4.2 experiment (`etx_overhead`) reports both and notes the
+/// discrepancy.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct WrongLinkAnalysis {
     /// Can an estimate error of ±δ cause the wrong link to be picked?

@@ -9,9 +9,10 @@
 //! over all links).
 //!
 //! The paper evaluated CTE on taxi GPS traces map-matched to a real road
-//! network — proprietary data we cannot ship. The substitute (documented
-//! in DESIGN.md): a synthetic road network of straight chords with random
-//! orientations through an urban-scale region ([`roads`]), vehicles
+//! network — proprietary data we cannot ship. The substitute (the
+//! `table_5_1` row of EXPERIMENTS.md's battery index): a synthetic road
+//! network of straight chords with random orientations through an
+//! urban-scale region ([`roads`]), vehicles
 //! shuttling along them at urban speeds ([`mobility`]), and 100 m
 //! proximity links sampled at 1 Hz ([`links`]) — the same kinematics that
 //! generate the Table 5.1 structure (relative speed between two vehicles
